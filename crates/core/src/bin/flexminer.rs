@@ -17,7 +17,7 @@
 
 use flexminer::jobs::SupervisorConfig;
 use flexminer::serve::{self, ServeConfig};
-use flexminer::telemetry::{parse_cadence, LogLevel, TraceClock};
+use flexminer::telemetry::{parse_cadence, LogLevel, Span, TraceClock};
 use flexminer::{
     apps, graphspec, report, Backend, Budget, EngineConfig, MineError, Miner, Pattern,
     ProgressOptions, RunStatus, SimConfig, TelemetryOptions,
@@ -132,9 +132,13 @@ impl TelemetryFlags {
     }
 
     /// Assembles the engine-side run options: metrics collection is implied
-    /// by `--metrics-out`, span tracing by `--trace-out`, live progress by
-    /// `--progress` / `--heartbeat`.
-    fn engine_options(&self, args: &[String]) -> Result<TelemetryOptions, String> {
+    /// by `--metrics-out`, span tracing on `clock` by `--trace-out`, live
+    /// progress by `--progress` / `--heartbeat`.
+    fn engine_options(
+        &self,
+        args: &[String],
+        clock: Option<TraceClock>,
+    ) -> Result<TelemetryOptions, String> {
         let progress = match (flag_value(args, "--progress"), flag_value(args, "--heartbeat")) {
             (None, None) => None,
             (cadence, heartbeat) => {
@@ -147,7 +151,7 @@ impl TelemetryFlags {
         };
         Ok(TelemetryOptions {
             metrics: self.metrics_out.is_some(),
-            trace: self.trace_out.is_some().then(TraceClock::start),
+            trace: clock,
             span_capacity: None,
             progress,
         })
@@ -228,7 +232,8 @@ telemetry (off by default; defaults stay bit-identical):
                                FSM-state occupancy and machine totals
   --trace-out PATH             write Chrome trace_event JSON (open in
                                chrome://tracing or Perfetto). count emits
-                               prepare/mine/task/checkpoint spans; sim
+                               ingest/compile/prepare/mine/task/checkpoint
+                               spans on one clock; sim
                                emits machine counter tracks (1 cycle = 1us
                                on the viewer's axis)
   --progress N|Ns (count)      live progress to stderr every N tasks, or
@@ -319,7 +324,17 @@ fn cmd_plan(args: &[String]) -> CliResult {
 
 fn cmd_count(args: &[String], _induced_default: bool) -> CliResult {
     let pattern = parse_pattern(args)?;
+    let pattern_edges = Some(("edges", pattern.edge_count() as u64));
+    let telemetry = TelemetryFlags::parse(args)?;
+    // A traced run's clock starts here, so its origin is the start of the
+    // ingest span (graph parse or generation plus CSR build).
+    let clock = telemetry.trace_out.is_some().then(TraceClock::start);
     let g = load_graph(args)?;
+    let mut cli_spans = Vec::new();
+    if let Some(clock) = &clock {
+        let edges = Some(("edges", g.num_undirected_edges() as u64));
+        cli_spans.push(Span::close(clock, "ingest", "cli", 0, 0, edges));
+    }
     let threads = flag_value(args, "--threads")
         .map_or(Ok(1), |v| v.parse::<usize>().map_err(|e| e.to_string()))?;
     let mut cfg = EngineConfig::with_threads(threads);
@@ -379,8 +394,13 @@ fn cmd_count(args: &[String], _induced_default: bool) -> CliResult {
     if let Some(path) = flag_value(args, "--resume") {
         job = job.resume_from(path);
     }
-    let telemetry = TelemetryFlags::parse(args)?;
-    job = job.telemetry(telemetry.engine_options(args)?);
+    if let Some(clock) = &clock {
+        // `run` compiles the same plan again; compiling takes microseconds.
+        let start = clock.now_us();
+        job.plan().map_err(|e| e.to_string())?;
+        cli_spans.push(Span::close(clock, "compile", "cli", start, 0, pattern_edges));
+    }
+    job = job.telemetry(telemetry.engine_options(args, clock)?);
     let timeout = flag_value(args, "--timeout")
         .map(|v| v.parse::<f64>().map_err(|e| format!("bad --timeout: {e}")))
         .transpose()?;
@@ -394,7 +414,10 @@ fn cmd_count(args: &[String], _induced_default: bool) -> CliResult {
     for pc in outcome.per_pattern() {
         println!("{}: {}", pc.name, pc.count);
     }
-    telemetry.export(|| report::engine_metrics(&outcome), || report::engine_trace(&outcome))?;
+    telemetry.export(
+        || report::engine_metrics(&outcome),
+        || report::engine_trace(&outcome, &cli_spans),
+    )?;
     report_status(&outcome, telemetry.level);
     if telemetry.level.allows(LogLevel::Info) {
         eprintln!("[{} threads, {:.3?}]", threads, start.elapsed());

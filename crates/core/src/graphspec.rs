@@ -23,7 +23,7 @@ pub fn load(input: &str) -> Result<CsrGraph, String> {
         return generate(spec);
     }
     let file = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-    io::read_edge_list(file).map_err(|e| format!("parse {input}: {e}"))
+    io::read_edge_list(file).map_err(|e| format!("read {input}: {e}"))
 }
 
 /// Builds a synthetic graph from a `kind,k=v,...` spec (no `gen:` prefix).

@@ -9,7 +9,7 @@
 
 use crate::miner::MiningOutcome;
 use fm_sim::{SimConfig, SimReport, FSM_STATE_NAMES};
-use fm_telemetry::{chrome_trace_json, CounterEvent, MetricsDoc};
+use fm_telemetry::{chrome_trace_json, CounterEvent, MetricsDoc, Span};
 use std::path::Path;
 
 /// Adds a depth-labelled counter vector (`{depth="0"}, {depth="1"}, …`).
@@ -287,11 +287,12 @@ pub fn sim_metrics(outcome: &MiningOutcome, cfg: &SimConfig) -> MetricsDoc {
 }
 
 /// Renders a software run's trace spans as Chrome `trace_event` JSON
-/// (open in `chrome://tracing` or Perfetto). Runs without tracing enabled
-/// render an empty-but-valid trace.
-pub fn engine_trace(outcome: &MiningOutcome) -> String {
-    let spans = outcome.telemetry().map(|s| s.spans.as_slice()).unwrap_or(&[]);
-    chrome_trace_json("fm-engine", spans, &[])
+/// (open in `chrome://tracing` or Perfetto), after the caller's own
+/// `leading` spans on the same clock (the CLI's ingest and compile). Runs
+/// without tracing enabled render an empty-but-valid trace.
+pub fn engine_trace(outcome: &MiningOutcome, leading: &[Span]) -> String {
+    let engine = outcome.telemetry().map(|s| s.spans.as_slice()).unwrap_or(&[]);
+    chrome_trace_json("fm-engine", &[leading, engine].concat(), &[])
 }
 
 /// Renders an accelerator run's machine timeline as Chrome `trace_event`
@@ -444,7 +445,7 @@ mod tests {
     fn engine_trace_is_valid_even_without_telemetry() {
         let g = generators::complete(5);
         let outcome = Miner::new(&g).pattern(Pattern::triangle()).run().unwrap();
-        let trace = engine_trace(&outcome);
+        let trace = engine_trace(&outcome, &[]);
         assert!(trace.contains("traceEvents"));
     }
 }

@@ -183,6 +183,18 @@ fn assert_json_object(s: &str, markers: &[&str]) {
     }
 }
 
+/// `[start, end)` in microseconds of the first complete event named
+/// `name` in a Chrome trace.
+fn span_bounds(trace: &str, name: &str) -> (u64, u64) {
+    let at = trace.find(&format!("{{\"name\":\"{name}\"")).unwrap_or_else(|| panic!("no {name}"));
+    let event = &trace[at..];
+    let field = |key: &str| -> u64 {
+        let from = event.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        event[from..].split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+    };
+    (field("ts"), field("ts") + field("dur"))
+}
+
 /// `count --metrics-out/--trace-out` writes Prometheus text (by extension)
 /// and valid Chrome trace JSON, while stdout stays byte-identical to a
 /// plain run (telemetry is observation, never perturbation).
@@ -223,6 +235,13 @@ fn count_telemetry_exports_and_stays_bit_identical() {
         &trace_text,
         &["\"traceEvents\"", "\"name\":\"mine\"", "\"name\":\"start-vertex-task\"", "\"ph\":\"X\""],
     );
+    // The CLI's own layers share the engine's clock and end before mining.
+    let ingest = span_bounds(&trace_text, "ingest");
+    let compile = span_bounds(&trace_text, "compile");
+    let mine = span_bounds(&trace_text, "mine");
+    assert!(ingest.1 <= compile.0, "ingest {ingest:?} overlaps compile {compile:?}");
+    assert!(compile.1 <= mine.0, "compile {compile:?} overlaps mine {mine:?}");
+    assert!(trace_text.contains("\"name\":\"ingest\",\"cat\":\"cli\""), "{trace_text:.300}");
     let _ = std::fs::remove_file(&prom);
     let _ = std::fs::remove_file(&trace);
 }
@@ -290,6 +309,25 @@ fn sim_telemetry_exports_occupancy_and_timeline() {
     assert_json_object(&trace_text, &["\"traceEvents\"", "\"ph\":\"C\"", "pe_utilization"]);
     let _ = std::fs::remove_file(&prom);
     let _ = std::fs::remove_file(&trace);
+}
+
+/// A header declaring more vertices than memory can hold is a clean error
+/// (exit 1 with a message), not an allocator abort, under an address-space
+/// limit well below the 32 GB the CSR offsets would need.
+#[test]
+fn impossible_vertex_count_is_an_error_not_an_abort() {
+    let path = temp_ckpt("huge-header").with_extension("txt");
+    std::fs::write(&path, "# vertices 4000000000\n0 1\n").unwrap();
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 4000000; exec \"$0\" count triangle --graph \"$1\""])
+        .arg(env!("CARGO_BIN_EXE_flexminer"))
+        .arg(&path)
+        .output()
+        .expect("sh should spawn");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cannot allocate 32000000008 bytes"), "stderr: {stderr}");
 }
 
 /// Bad telemetry flag values fail fast, before any mining starts.

@@ -83,12 +83,25 @@ impl GraphBuilder {
         self
     }
 
+    /// Wraps an edge list that is already free of self loops, without
+    /// copying it (the text reader hands over its parse this way).
+    pub(crate) fn from_edges(edges: Vec<(u32, u32)>, min_vertices: usize) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| u != v));
+        GraphBuilder { edges, min_vertices }
+    }
+
     /// Finalizes the builder into a validated [`CsrGraph`].
+    ///
+    /// The CSR is built by counting sort: count each vertex's degree, take
+    /// prefix sums, scatter both directions of every edge into one
+    /// neighbour array, then sort and deduplicate each row in place,
+    /// compacting the array as rows shrink.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::TooManyVertices`] if more than `u32::MAX`
-    /// vertices would be required.
+    /// vertices would be required, and [`GraphError::AllocationFailed`] if
+    /// the vertex- or edge-sized arrays cannot be allocated.
     pub fn build(self) -> Result<CsrGraph, GraphError> {
         let n = self
             .edges
@@ -101,25 +114,62 @@ impl GraphBuilder {
             return Err(GraphError::TooManyVertices(n));
         }
 
-        // Symmetrize, then sort + dedup per adjacency list via a global sort.
-        let mut directed = Vec::with_capacity(self.edges.len() * 2);
+        // Degree counts, then an exclusive prefix sum: offsets[u] is the
+        // start of u's row and offsets[n] the total.
+        let mut offsets = try_filled(n + 1, 0usize, "CSR offsets")?;
         for &(u, v) in &self.edges {
-            directed.push((u, v));
-            directed.push((v, u));
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        directed.sort_unstable();
-        directed.dedup();
+        let mut total = 0;
+        for o in &mut offsets {
+            let degree = *o;
+            *o = total;
+            total += degree;
+        }
 
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, _) in &directed {
-            offsets[u as usize + 1] += 1;
+        // Scatter; each offsets[u] advances to the end of u's row.
+        let mut neighbors = try_filled(total, VertexId(0), "CSR neighbour array")?;
+        for &(u, v) in &self.edges {
+            neighbors[offsets[u as usize]] = VertexId(v);
+            offsets[u as usize] += 1;
+            neighbors[offsets[v as usize]] = VertexId(u);
+            offsets[v as usize] += 1;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        drop(self.edges);
+
+        // Sort and dedup each row, moving it left over the duplicates
+        // already dropped; offsets[u] goes back to being u's row start.
+        let (mut row_start, mut len) = (0, 0);
+        for offset in &mut offsets[..n] {
+            let row_end = *offset;
+            *offset = len;
+            neighbors[row_start..row_end].sort_unstable();
+            for i in row_start..row_end {
+                let x = neighbors[i];
+                if i == row_start || x != neighbors[len - 1] {
+                    neighbors[len] = x;
+                    len += 1;
+                }
+            }
+            row_start = row_end;
         }
-        let neighbors = directed.into_iter().map(|(_, v)| VertexId(v)).collect();
+        offsets[n] = len;
+        neighbors.truncate(len);
         CsrGraph::from_parts(offsets, neighbors)
     }
+}
+
+/// A `len`-element vector of `fill`, or a structured error where a plain
+/// `vec!` would abort the process on an impossible size.
+fn try_filled<T: Clone>(len: usize, fill: T, what: &'static str) -> Result<Vec<T>, GraphError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).map_err(|_| GraphError::AllocationFailed {
+        what,
+        bytes: len.saturating_mul(std::mem::size_of::<T>()),
+    })?;
+    v.resize(len, fill);
+    Ok(v)
 }
 
 #[cfg(test)]

@@ -34,6 +34,14 @@ pub enum GraphError {
     /// fields). Distinct from [`Parse`](GraphError::Parse), which is
     /// line-oriented and text-only.
     BadFormat(String),
+    /// An array sized by the input could not be allocated (for example a
+    /// `# vertices N` header far beyond available memory).
+    AllocationFailed {
+        /// What the array would have held.
+        what: &'static str,
+        /// Requested size in bytes.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -55,6 +63,9 @@ impl fmt::Display for GraphError {
                 write!(f, "parse error at line {line}: {message}")
             }
             GraphError::BadFormat(message) => write!(f, "bad binary graph format: {message}"),
+            GraphError::AllocationFailed { what, bytes } => {
+                write!(f, "cannot allocate {bytes} bytes for the {what}")
+            }
         }
     }
 }
@@ -91,6 +102,12 @@ mod tests {
     fn bad_format_display() {
         let e = GraphError::BadFormat("bad csr magic".into());
         assert_eq!(e.to_string(), "bad binary graph format: bad csr magic");
+    }
+
+    #[test]
+    fn allocation_failure_display_names_size_and_array() {
+        let e = GraphError::AllocationFailed { what: "CSR offsets", bytes: 32 };
+        assert_eq!(e.to_string(), "cannot allocate 32 bytes for the CSR offsets");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::vertex::VertexId;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 
 /// Magic bytes identifying the binary CSR format.
 const CSR_MAGIC: &[u8; 8] = b"FMCSR\x01\x00\x00";
@@ -17,45 +17,189 @@ const CSR_MAGIC: &[u8; 8] = b"FMCSR\x01\x00\x00";
 /// inputs. A `# vertices N` comment (as written by [`write_edge_list`])
 /// fixes the vertex count, preserving trailing isolated vertices.
 ///
+/// The grammar is byte-level: tokens are separated by ASCII whitespace
+/// (space, tab, CR, vertical tab, form feed), lines end at `\n`, and a
+/// vertex id is an optional `+` followed by decimal digits that fit a
+/// `u32`. Input is scanned from one fixed-size read buffer, so memory
+/// stays bounded by the edge array plus that buffer (and the longest
+/// line, when a line outgrows the buffer).
+///
 /// A mutable reference can be passed for `reader` (e.g. `&mut file`).
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] for malformed lines and [`GraphError::Io`]
-/// for underlying IO failures.
+/// Returns [`GraphError::Parse`] for malformed lines (including
+/// non-ASCII separators and invalid UTF-8), [`GraphError::Io`] for
+/// underlying IO failures, and any error of [`GraphBuilder::build`].
 pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut builder = GraphBuilder::new();
-    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            if let Some(rest) = line.strip_prefix("# vertices ") {
-                if let Ok(n) = rest.trim().parse::<usize>() {
-                    builder = builder.vertices(n);
+    let mut r = BufReader::with_capacity(READ_BUF, reader);
+    let mut scan = Scanner::default();
+    // A line cut by the end of one fill waits here for the rest of it.
+    let mut carry: Vec<u8> = Vec::new();
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let len = chunk.len();
+        if len == 0 {
+            break;
+        }
+        let mut pos = 0;
+        if !carry.is_empty() {
+            let Some(nl) = chunk.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(chunk);
+                r.consume(len);
+                continue;
+            };
+            carry.extend_from_slice(&chunk[..=nl]);
+            scan.lines(&carry)?;
+            carry.clear();
+            pos = nl + 1;
+        }
+        pos += scan.lines(&chunk[pos..])?;
+        carry.extend_from_slice(&chunk[pos..]);
+        r.consume(len);
+    }
+    if !carry.is_empty() {
+        // The last line has no newline of its own.
+        carry.push(b'\n');
+        scan.lines(&carry)?;
+    }
+    GraphBuilder::from_edges(scan.edges, scan.min_vertices).build()
+}
+
+/// Read-buffer size of [`read_edge_list`].
+const READ_BUF: usize = 1 << 20;
+
+/// Edge-list parse state: the edges so far and the line count.
+#[derive(Default)]
+struct Scanner {
+    edges: Vec<(u32, u32)>,
+    min_vertices: usize,
+    /// Lines consumed so far; the 1-based number of the current line once
+    /// it has been counted.
+    line: usize,
+}
+
+impl Scanner {
+    /// Parses every complete line of `buf` and returns the number of bytes
+    /// consumed, which ends just past the last `\n`.
+    ///
+    /// Plain `u v` lines take the inline fast path; everything else (blank
+    /// lines, comments, errors) goes through [`Scanner::other_line`].
+    fn lines(&mut self, buf: &[u8]) -> Result<usize, GraphError> {
+        let mut pos = 0;
+        loop {
+            if let Some((u, v, next)) = fast_edge(buf, pos) {
+                self.line += 1;
+                if u != v {
+                    self.edges.push((u, v));
+                }
+                pos = next;
+                continue;
+            }
+            let Some(nl) = buf[pos..].iter().position(|&b| b == b'\n') else {
+                return Ok(pos);
+            };
+            self.other_line(&buf[pos..pos + nl])?;
+            pos += nl + 1;
+        }
+    }
+
+    /// The full grammar for one line (without its `\n`).
+    fn other_line(&mut self, line: &[u8]) -> Result<(), GraphError> {
+        self.line += 1;
+        let text = std::str::from_utf8(line).map_err(|_| self.error("invalid UTF-8".into()))?;
+        let text = text.trim_matches(is_space_char);
+        if text.is_empty() {
+            return Ok(());
+        }
+        if text.starts_with('#') {
+            if let Some(rest) = text.strip_prefix("# vertices ") {
+                if let Ok(n) = rest.trim_matches(is_space_char).parse::<usize>() {
+                    self.min_vertices = self.min_vertices.max(n);
                 }
             }
-            continue;
+            return Ok(());
         }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>, lineno: usize| -> Result<u32, GraphError> {
-            tok.ok_or_else(|| GraphError::Parse {
-                line: lineno + 1,
-                message: "expected two vertex ids".into(),
-            })?
-            .parse::<u32>()
-            .map_err(|e| GraphError::Parse { line: lineno + 1, message: e.to_string() })
-        };
-        let u = parse(it.next(), lineno)?;
-        let v = parse(it.next(), lineno)?;
+        let mut it = text.split(is_space_char).filter(|t| !t.is_empty());
+        let u = self.vertex(it.next())?;
+        let v = self.vertex(it.next())?;
         if it.next().is_some() {
-            return Err(GraphError::Parse {
-                line: lineno + 1,
-                message: "trailing tokens after edge".into(),
-            });
+            return Err(self.error("trailing tokens after edge".into()));
         }
-        builder = builder.edge(u, v);
+        if u != v {
+            self.edges.push((u, v));
+        }
+        Ok(())
     }
-    builder.build()
+
+    fn vertex(&self, token: Option<&str>) -> Result<u32, GraphError> {
+        token
+            .ok_or_else(|| self.error("expected two vertex ids".into()))?
+            .parse::<u32>()
+            .map_err(|e| self.error(e.to_string()))
+    }
+
+    fn error(&self, message: String) -> GraphError {
+        GraphError::Parse { line: self.line, message }
+    }
+}
+
+/// Token separators: the ASCII characters `char::is_whitespace` accepts,
+/// minus the line terminator.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
+}
+
+fn is_space_char(c: char) -> bool {
+    c.is_ascii() && is_space(c as u8)
+}
+
+#[inline]
+fn skip_space(buf: &[u8], mut i: usize) -> usize {
+    while buf.get(i).is_some_and(|&b| is_space(b)) {
+        i += 1;
+    }
+    i
+}
+
+/// Parses `[+]digits` at `i` into a `u32`; `None` on no digits or on
+/// overflow. Returns the value and the index just past the last digit.
+#[inline]
+fn fast_vertex(buf: &[u8], mut i: usize) -> Option<(u32, usize)> {
+    if buf.get(i) == Some(&b'+') {
+        i += 1;
+    }
+    let start = i;
+    let mut x: u32 = 0;
+    while let Some(&b) = buf.get(i) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        x = x.checked_mul(10)?.checked_add(u32::from(d))?;
+        i += 1;
+    }
+    (i > start).then_some((x, i))
+}
+
+/// Matches a complete `u v` line at `start` (surrounding ASCII whitespace
+/// allowed) and returns the edge and the index just past its `\n`.
+/// `None` leaves the line to the full grammar, which also decides whether
+/// the line is merely incomplete.
+#[inline]
+fn fast_edge(buf: &[u8], start: usize) -> Option<(u32, u32, usize)> {
+    let (u, i) = fast_vertex(buf, skip_space(buf, start))?;
+    if !is_space(*buf.get(i)?) {
+        return None;
+    }
+    let (v, i) = fast_vertex(buf, skip_space(buf, i))?;
+    let i = skip_space(buf, i);
+    (*buf.get(i)? == b'\n').then_some((u, v, i + 1))
 }
 
 /// Writes a `# vertices N` header followed by each undirected edge as a
@@ -181,6 +325,130 @@ mod tests {
             read_edge_list("0 1 2\n".as_bytes()),
             Err(GraphError::Parse { line: 1, .. })
         ));
+    }
+
+    /// Vertex count and undirected edges of a parse, or its error.
+    fn parse(bytes: &[u8]) -> Result<(usize, Vec<(u32, u32)>), GraphError> {
+        let g = read_edge_list(bytes)?;
+        Ok((g.num_vertices(), g.undirected_edges().map(|(u, v)| (u.0, v.0)).collect()))
+    }
+
+    fn parse_error(bytes: &[u8]) -> (usize, String) {
+        match parse(bytes) {
+            Err(GraphError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    // The expectations below are what the line-based `str::parse` reader
+    // this scanner replaced returned for the same bytes.
+
+    #[test]
+    fn scanner_accepts_crlf_tabs_and_surrounding_whitespace() {
+        let path = vec![(0, 1), (1, 2)];
+        assert_eq!(parse(b"0 1\r\n1 2\r\n").unwrap(), (3, path.clone()));
+        assert_eq!(parse(b"0\t1\n\t1 \t 2\t\n").unwrap(), (3, path.clone()));
+        assert_eq!(parse(b"\x0b0 1\x0c\n1 2\n").unwrap(), (3, path.clone()));
+        assert_eq!(parse(b"0 1\n\r\n  \t \n1 2\n").unwrap(), (3, path.clone()));
+        // No final newline, with or without a trailing CR.
+        assert_eq!(parse(b"  0 1  \n 1 2").unwrap(), (3, path));
+        assert_eq!(parse(b"0 1\r").unwrap(), (2, vec![(0, 1)]));
+    }
+
+    #[test]
+    fn scanner_skips_comments_and_blank_lines() {
+        let text = b"# header\n   # indented comment\n0 1\n\n\n2 3\n";
+        assert_eq!(parse(text).unwrap(), (4, vec![(0, 1), (2, 3)]));
+        assert_eq!(parse(b"").unwrap(), (0, vec![]));
+        assert_eq!(parse(b"\n\n").unwrap(), (0, vec![]));
+    }
+
+    #[test]
+    fn scanner_honours_vertices_padding_header() {
+        assert_eq!(parse(b"# vertices 10\n0 1\n").unwrap(), (10, vec![(0, 1)]));
+        // The largest header wins; unparsable ones are plain comments.
+        let text = b"# vertices 3\n# vertices 7\n# vertices x\n0 1\n";
+        assert_eq!(parse(text).unwrap(), (7, vec![(0, 1)]));
+        assert_eq!(parse(b"  # vertices   4  \n").unwrap(), (4, vec![]));
+        assert_eq!(parse(b"# vertices +6\n").unwrap(), (6, vec![]));
+        assert_eq!(parse(b"#vertices 5\n0 1\n").unwrap(), (2, vec![(0, 1)]));
+    }
+
+    #[test]
+    fn scanner_accepts_leading_plus_and_zeros() {
+        assert_eq!(parse(b"+3 +4\n").unwrap(), (5, vec![(3, 4)]));
+        assert_eq!(parse(b"00000000000000000007 1\n").unwrap(), (8, vec![(1, 7)]));
+    }
+
+    #[test]
+    fn scanner_reports_overflow_with_line_number() {
+        let overflow = "number too large to fit in target type".to_string();
+        assert_eq!(parse_error(b"0 1\n4294967296 2\n"), (2, overflow.clone()));
+        assert_eq!(parse_error(b"0 99999999999x\n"), (1, overflow));
+        // u32::MAX itself parses, but needs 2^32 vertices.
+        assert!(matches!(parse(b"4294967295 0\n"), Err(GraphError::TooManyVertices(4294967296))));
+    }
+
+    #[test]
+    fn scanner_reports_malformed_lines() {
+        let invalid = "invalid digit found in string".to_string();
+        assert_eq!(parse_error(b"0 1\n5\n"), (2, "expected two vertex ids".into()));
+        assert_eq!(parse_error(b"0 1\n1 2 3\n"), (2, "trailing tokens after edge".into()));
+        assert_eq!(parse_error(b"x\n"), (1, invalid.clone()));
+        assert_eq!(parse_error(b"1 x 7\n"), (1, invalid.clone()));
+        assert_eq!(parse_error(b"-1 2\n"), (1, invalid.clone()));
+        assert_eq!(parse_error(b"+ 1\n"), (1, invalid.clone()));
+        assert_eq!(parse_error(b"1 2#c\n"), (1, invalid));
+    }
+
+    /// Two deliberate changes from the line-based reader: separators are
+    /// ASCII only (U+00A0 used to split tokens), and invalid UTF-8 is a
+    /// `Parse` error at its line (it used to be `Io(InvalidData)`).
+    #[test]
+    fn scanner_rejects_non_ascii_separators_and_invalid_utf8() {
+        let invalid = "invalid digit found in string".to_string();
+        assert_eq!(parse_error("0 1\n1\u{a0}2\n".as_bytes()), (2, invalid.clone()));
+        assert_eq!(parse_error("\u{a0}0 1\n".as_bytes()), (1, invalid));
+        assert_eq!(parse_error(b"0 1\n1 \xff\n"), (2, "invalid UTF-8".into()));
+        assert_eq!(parse_error(b"# \xff\n0 1\n"), (1, "invalid UTF-8".into()));
+    }
+
+    /// A reader that returns 1..=7 bytes per call, cycling, so that line
+    /// and token boundaries fall at every offset of a buffer refill.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.step = self.step % 7 + 1;
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn scanner_is_independent_of_read_boundaries() {
+        let g = generators::powerlaw_cluster(300, 3, 0.3, 5);
+        let mut text = Vec::new();
+        write_edge_list(&g, &mut text).unwrap();
+        text.extend_from_slice(b"  # indented\r\n\t+7 \t0010\r\n\n5 6");
+        let want = read_edge_list(text.as_slice()).unwrap();
+        assert!(want.has_edge(crate::VertexId(7), crate::VertexId(10)));
+        assert!(want.has_edge(crate::VertexId(5), crate::VertexId(6)));
+        let mut bad = text.clone();
+        bad.extend_from_slice(b"\n1 x\n2 3\n");
+        let bad_line = text.iter().filter(|&&b| b == b'\n').count() + 2;
+        for step in 0..7 {
+            assert_eq!(read_edge_list(Trickle { data: &text, step }).unwrap(), want);
+            match read_edge_list(Trickle { data: &bad, step }) {
+                Err(GraphError::Parse { line, .. }) => assert_eq!(line, bad_line),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

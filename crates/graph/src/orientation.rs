@@ -35,19 +35,15 @@ use crate::vertex::VertexId;
 /// ```
 pub fn orient_by_degree(g: &CsrGraph) -> CsrGraph {
     let rank = |v: VertexId| (g.degree(v), v);
-    let n = g.num_vertices();
-    let mut offsets = vec![0usize; n + 1];
+    let mut offsets = Vec::with_capacity(g.num_vertices() + 1);
+    offsets.push(0);
+    // A symmetric graph keeps exactly one direction of each edge.
+    let mut neighbors = Vec::with_capacity(g.num_undirected_edges());
     for u in g.vertices() {
-        let d = g.neighbors(u).iter().filter(|&&v| rank(u) < rank(v)).count();
-        offsets[u.index() + 1] = d;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut neighbors = Vec::with_capacity(offsets[n]);
-    for u in g.vertices() {
+        let ru = rank(u);
         // Adjacency stays sorted by id; the filter preserves relative order.
-        neighbors.extend(g.neighbors(u).iter().copied().filter(|&v| rank(u) < rank(v)));
+        neighbors.extend(g.neighbors(u).iter().copied().filter(|&v| ru < rank(v)));
+        offsets.push(neighbors.len());
     }
     CsrGraph::from_parts(offsets, neighbors).expect("orientation of a valid graph is valid")
 }

@@ -157,6 +157,10 @@ fn mid_subtree_retry_does_not_double_count() {
 /// reported median, vids in range.
 #[test]
 fn straggler_report_respects_its_invariants() {
+    // No site is armed here, but `mine` passes the process-global
+    // `start_vertex` site: unlocked, it would trip (or use up) another
+    // test's armed trigger.
+    let _l = fp_lock();
     let g = generators::powerlaw_cluster(400, 5, 0.5, 19);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     let cfg = EngineConfig {
