@@ -2,7 +2,7 @@
 
 use fm_engine::{
     Budget, CancelToken, Checkpoint, CheckpointConfig, CheckpointError, EngineConfig, Fault,
-    MiningResult, Recovery, RunStatus, Straggler, TelemetryOptions, WorkCounters,
+    MineOptions, MiningResult, RunStatus, Straggler, TelemetryOptions, WorkCounters,
 };
 use fm_graph::CsrGraph;
 use fm_pattern::Pattern;
@@ -417,8 +417,9 @@ impl<'g> Miner<'g> {
     /// Adjusts the checkpoint cadence set by
     /// [`checkpoint_to`](Self::checkpoint_to): write after `every_tasks`
     /// completed tasks (`None`/0 disables the count trigger) and/or after
-    /// `every_wall` of wall-clock time (`None` disables). No-op unless a
-    /// checkpoint path is set.
+    /// `every_wall` of wall-clock time (`None` disables), checked at chunk
+    /// boundaries (see [`CheckpointConfig`]). No-op unless a checkpoint
+    /// path is set.
     #[must_use]
     pub fn checkpoint_interval(
         mut self,
@@ -556,27 +557,24 @@ impl<'g> Miner<'g> {
                 Backend::Software(cfg) => {
                     let mut cfg = *cfg;
                     cfg.budget = merge_budgets(cfg.budget, self.budget);
-                    let cancel = self.cancel.as_ref();
                     // One funnel for every software job: resume snapshots
-                    // load here, then recovery + telemetry ride together
-                    // through `mine_observed` (the engine's fully-general
-                    // entry point — identical to `mine` when both are off).
+                    // load here, then cancellation, recovery, and telemetry
+                    // ride together through `mine_with` (identical to
+                    // `mine` when all are off).
                     let resume = self
                         .resume
                         .as_deref()
                         .map(Checkpoint::load)
                         .transpose()
                         .map_err(MineError::Checkpoint)?;
-                    let recovery = Recovery { checkpoint: self.checkpoint.clone(), resume };
-                    let result = fm_engine::mine_observed(
-                        self.graph,
-                        &plan,
-                        &cfg,
-                        cancel,
-                        recovery,
-                        &self.telemetry,
-                    )
-                    .map_err(MineError::Checkpoint)?;
+                    let opts = MineOptions {
+                        cancel: self.cancel.clone(),
+                        resume,
+                        checkpoint: self.checkpoint.clone(),
+                        telemetry: self.telemetry.clone(),
+                    };
+                    let result = fm_engine::mine_with(self.graph, &plan, &cfg, &opts)
+                        .map_err(MineError::Checkpoint)?;
                     let work = result.work;
                     (result, Some(work), None)
                 }

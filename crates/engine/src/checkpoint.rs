@@ -49,7 +49,6 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Magic bytes identifying the binary checkpoint format.
@@ -292,10 +291,11 @@ impl CompletedSet {
 
 /// A versioned, integrity-checked snapshot of one mining job's progress.
 ///
-/// Produced by the recovery driver
-/// ([`mine_with_recovery`](crate::parallel::mine_with_recovery)) at
-/// configurable intervals and on exit; consumed by
-/// [`mine_resumed`](crate::parallel::mine_resumed) after fingerprint
+/// Written by [`mine_with`](crate::mine_with) at the
+/// [`MineOptions::checkpoint`](crate::MineOptions::checkpoint) cadence and
+/// on exit, and by a supervisor from [`JobCore::snapshot`](crate::JobCore::snapshot);
+/// consumed through [`MineOptions::resume`](crate::MineOptions::resume) or
+/// [`JobCore::resume`](crate::JobCore::resume) after fingerprint
 /// validation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Checkpoint {
@@ -335,6 +335,22 @@ impl Checkpoint {
             counts: vec![0; patterns],
             work: WorkCounters::default(),
             completed: CompletedSet::new(graph.num_vertices()),
+            faults: Vec::new(),
+            quarantined: Vec::new(),
+        }
+    }
+
+    /// An empty snapshot over `n` start vertices with a zero fingerprint
+    /// header, for runs that neither write nor return their snapshot: it
+    /// skips the O(n) degree checksum of [`empty`](Self::empty).
+    pub(crate) fn unfingerprinted(n: usize, patterns: usize) -> Checkpoint {
+        Checkpoint {
+            graph: GraphFingerprint { n: n as u64, m: 0, degree_checksum: 0 },
+            plan: 0,
+            config: 0,
+            counts: vec![0; patterns],
+            work: WorkCounters::default(),
+            completed: CompletedSet::new(n),
             faults: Vec::new(),
             quarantined: Vec::new(),
         }
@@ -709,10 +725,14 @@ pub struct CheckpointConfig {
     /// transiently).
     pub path: PathBuf,
     /// Write after this many completed tasks since the last write.
-    /// `0` disables the task-count trigger (wall-clock only).
+    /// `0` disables the task-count trigger (wall-clock only). Finished
+    /// tasks are counted, and a due write happens, when a worker publishes
+    /// its claimed chunk, so writes fall on chunk boundaries: `1` writes
+    /// once per chunk, and a kill loses up to `chunk_size` finished tasks
+    /// per worker.
     pub every_tasks: u64,
     /// Write once this much wall-clock time has passed since the last
-    /// write (checked at task boundaries). `None` disables the trigger.
+    /// write (checked at chunk boundaries). `None` disables the trigger.
     pub every_wall: Option<Duration>,
 }
 
@@ -728,17 +748,15 @@ impl CheckpointConfig {
     }
 }
 
-/// Shared progress accumulator for a checkpointed run: workers publish
-/// per-task deltas, and the publisher that crosses the cadence threshold
-/// writes the snapshot (under the same lock, so a snapshot is always a
-/// consistent {bitmap, counts, work} triple).
-pub(crate) struct CheckpointSink {
+/// The periodic-write policy of a checkpointed run. The job's snapshot
+/// lives next to it under the job's one snapshot lock (see
+/// [`JobCore`](crate::JobCore)); each time the task loop publishes
+/// finished tasks into that snapshot it calls
+/// [`tasks_done`](Self::tasks_done), and the call that crosses the cadence
+/// threshold writes it — so every written snapshot is a consistent
+/// {bitmap, counts, work} triple.
+pub(crate) struct CheckpointWriter {
     cfg: CheckpointConfig,
-    state: Mutex<SinkState>,
-}
-
-struct SinkState {
-    snap: Checkpoint,
     tasks_since_write: u64,
     last_write: Instant,
     /// Fatal write failure: set only after [`MAX_WRITE_ATTEMPTS`]
@@ -777,111 +795,81 @@ pub(crate) fn write_backoff(consecutive_failures: u64) -> Duration {
     base.saturating_mul(1 << shift).min(Duration::from_secs(2))
 }
 
-impl CheckpointSink {
-    /// A sink seeded with `snap` (empty for a fresh job, the loaded
-    /// snapshot for a resumed one). Observed runs pass the run's trace
-    /// clock so snapshot writes appear in the trace.
+impl CheckpointWriter {
+    /// A writer with the cadence of `cfg`. Observed runs pass the run's
+    /// trace clock so snapshot writes appear in the trace.
     pub(crate) fn new(
         cfg: CheckpointConfig,
-        snap: Checkpoint,
         trace: Option<fm_telemetry::TraceClock>,
-    ) -> CheckpointSink {
-        CheckpointSink {
+    ) -> CheckpointWriter {
+        CheckpointWriter {
             cfg,
-            state: Mutex::new(SinkState {
-                snap,
-                tasks_since_write: 0,
-                last_write: Instant::now(),
-                error: None,
-                last_error: None,
-                failed_attempts: 0,
-                consecutive_failures: 0,
-                retry_at: None,
-                trace: trace.map(|clock| (clock, Vec::new())),
-            }),
+            tasks_since_write: 0,
+            last_write: Instant::now(),
+            error: None,
+            last_error: None,
+            failed_attempts: 0,
+            consecutive_failures: 0,
+            retry_at: None,
+            trace: trace.map(|clock| (clock, Vec::new())),
         }
     }
 
-    /// Publishes one finished task (successful or quarantined) and writes
-    /// a snapshot if the cadence says so.
-    pub(crate) fn publish_task(
-        &self,
-        vid: u32,
-        completed: bool,
-        counts_delta: &[u64],
-        work_delta: WorkCounters,
-        new_faults: &[Fault],
-        quarantined: Option<&Fault>,
-    ) {
-        let mut s = self.state.lock().expect("checkpoint sink poisoned");
-        if completed {
-            s.snap.completed.insert(vid);
-        }
-        if s.snap.counts.len() < counts_delta.len() {
-            s.snap.counts.resize(counts_delta.len(), 0);
-        }
-        for (c, d) in s.snap.counts.iter_mut().zip(counts_delta) {
-            *c += d;
-        }
-        s.snap.work += work_delta;
-        s.snap.faults.extend_from_slice(new_faults);
-        if let Some(q) = quarantined {
-            s.snap.quarantined.push(q.clone());
-        }
-        s.tasks_since_write += 1;
-        let due = (self.cfg.every_tasks > 0 && s.tasks_since_write >= self.cfg.every_tasks)
-            || self.cfg.every_wall.is_some_and(|w| s.last_write.elapsed() >= w);
+    /// Counts `tasks` finished tasks (successful or quarantined) already
+    /// applied to `snap`, and writes `snap` if the cadence says so.
+    pub(crate) fn tasks_done(&mut self, tasks: u64, snap: &Checkpoint) {
+        self.tasks_since_write += tasks;
+        let due = (self.cfg.every_tasks > 0 && self.tasks_since_write >= self.cfg.every_tasks)
+            || self.cfg.every_wall.is_some_and(|w| self.last_write.elapsed() >= w);
         // A failed write does not reset `tasks_since_write`, so once the
         // cadence is due it stays due; the backoff gate alone paces the
         // retries until either a write succeeds or the attempts exhaust.
-        let retry_ok = s.retry_at.is_none_or(|at| Instant::now() >= at);
-        if due && s.error.is_none() && retry_ok {
-            Self::write(&self.cfg.path, &mut s);
+        let retry_ok = self.retry_at.is_none_or(|at| Instant::now() >= at);
+        if due && self.error.is_none() && retry_ok {
+            self.write(snap);
         }
     }
 
     /// Writes a final snapshot regardless of cadence or backoff (run end,
     /// any status), then returns the fatal write error (if retries
     /// exhausted) and the total number of failed write attempts.
-    pub(crate) fn finish(&self) -> (Option<String>, u64) {
-        let mut s = self.state.lock().expect("checkpoint sink poisoned");
-        if s.error.is_none() {
-            Self::write(&self.cfg.path, &mut s);
+    pub(crate) fn finish(&mut self, snap: &Checkpoint) -> (Option<String>, u64) {
+        if self.error.is_none() {
+            self.write(snap);
         }
-        (s.error.clone(), s.failed_attempts)
+        (self.error.clone(), self.failed_attempts)
     }
 
     /// Takes the collected `checkpoint-write` spans (driver-side, after
     /// [`finish`](Self::finish)).
-    pub(crate) fn take_spans(&self) -> Vec<fm_telemetry::Span> {
-        let mut s = self.state.lock().expect("checkpoint sink poisoned");
-        s.trace.as_mut().map(|(_, spans)| std::mem::take(spans)).unwrap_or_default()
+    pub(crate) fn take_spans(&mut self) -> Vec<fm_telemetry::Span> {
+        self.trace.as_mut().map(|(_, spans)| std::mem::take(spans)).unwrap_or_default()
     }
 
-    fn write(path: &Path, s: &mut SinkState) {
-        let start_us = s.trace.as_ref().map(|(clock, _)| clock.now_us());
-        let tasks_covered = s.tasks_since_write;
-        match s.snap.write_atomic(path) {
+    fn write(&mut self, snap: &Checkpoint) {
+        let start_us = self.trace.as_ref().map(|(clock, _)| clock.now_us());
+        let tasks_covered = self.tasks_since_write;
+        match snap.write_atomic(&self.cfg.path) {
             Ok(()) => {
-                s.tasks_since_write = 0;
-                s.last_write = Instant::now();
-                s.consecutive_failures = 0;
-                s.retry_at = None;
+                self.tasks_since_write = 0;
+                self.last_write = Instant::now();
+                self.consecutive_failures = 0;
+                self.retry_at = None;
             }
             Err(e) => {
-                s.failed_attempts += 1;
-                s.consecutive_failures += 1;
-                s.last_error = Some(e.to_string());
-                if s.consecutive_failures >= MAX_WRITE_ATTEMPTS {
+                self.failed_attempts += 1;
+                self.consecutive_failures += 1;
+                self.last_error = Some(e.to_string());
+                if self.consecutive_failures >= MAX_WRITE_ATTEMPTS {
                     // Exhausted: durability is off for the rest of the run
                     // and the latest cause surfaces as the fatal error.
-                    s.error = s.last_error.clone();
+                    self.error = self.last_error.clone();
                 } else {
-                    s.retry_at = Some(Instant::now() + write_backoff(s.consecutive_failures));
+                    self.retry_at = Some(Instant::now() + write_backoff(self.consecutive_failures));
                 }
             }
         }
-        if let Some((clock, spans)) = &mut s.trace {
+        if let Some((clock, spans)) = &mut self.trace {
             let start = start_us.expect("snapshot taken above when tracing");
             spans.push(fm_telemetry::Span::close(
                 clock,
@@ -1036,31 +1024,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fm-sink-retry-{}", std::process::id()));
         let path = dir.join("job.ckpt"); // parent does not exist yet
         let cfg = CheckpointConfig { path, every_tasks: 1, every_wall: None };
-        let sink = CheckpointSink::new(cfg.clone(), sample(), None);
-        let publish = |sink: &CheckpointSink| {
-            sink.publish_task(1, true, &[0], WorkCounters::default(), &[], None)
-        };
-        publish(&sink); // first write fails: parent dir missing
-        {
-            let s = sink.state.lock().unwrap();
-            assert_eq!(s.failed_attempts, 1);
-            assert_eq!(s.consecutive_failures, 1);
-            assert!(s.error.is_none(), "one failure must not be fatal");
-            assert!(s.retry_at.is_some(), "a failure schedules a backoff");
-        }
+        let snap = sample();
+        let mut sink = CheckpointWriter::new(cfg.clone(), None);
+        sink.tasks_done(1, &snap); // first write fails: parent dir missing
+        assert_eq!(sink.failed_attempts, 1);
+        assert_eq!(sink.consecutive_failures, 1);
+        assert!(sink.error.is_none(), "one failure must not be fatal");
+        assert!(sink.retry_at.is_some(), "a failure schedules a backoff");
         // Inside the backoff window further due publishes do not write.
-        publish(&sink);
-        assert_eq!(sink.state.lock().unwrap().failed_attempts, 1);
+        sink.tasks_done(1, &snap);
+        assert_eq!(sink.failed_attempts, 1);
         // Cure the disk, expire the backoff: the next publish recovers.
         fs::create_dir_all(&dir).unwrap();
-        sink.state.lock().unwrap().retry_at = Some(Instant::now() - Duration::from_millis(1));
-        publish(&sink);
-        {
-            let s = sink.state.lock().unwrap();
-            assert_eq!(s.consecutive_failures, 0, "success resets the streak");
-            assert!(s.retry_at.is_none());
-        }
-        let (err, failures) = sink.finish();
+        sink.retry_at = Some(Instant::now() - Duration::from_millis(1));
+        sink.tasks_done(1, &snap);
+        assert_eq!(sink.consecutive_failures, 0, "success resets the streak");
+        assert!(sink.retry_at.is_none());
+        let (err, failures) = sink.finish(&snap);
         assert_eq!(err, None);
         assert_eq!(failures, 1);
         assert!(Checkpoint::load(&cfg.path).is_ok());
@@ -1072,18 +1052,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fm-sink-fatal-{}", std::process::id()));
         // Never created: every attempt fails.
         let cfg = CheckpointConfig { path: dir.join("job.ckpt"), every_tasks: 1, every_wall: None };
-        let sink = CheckpointSink::new(cfg, sample(), None);
+        let snap = sample();
+        let mut sink = CheckpointWriter::new(cfg, None);
         for _ in 0..MAX_WRITE_ATTEMPTS {
             // Expire the pacing so each publish is a real attempt.
-            sink.state.lock().unwrap().retry_at = None;
-            sink.publish_task(1, true, &[0], WorkCounters::default(), &[], None);
+            sink.retry_at = None;
+            sink.tasks_done(1, &snap);
         }
-        let (err, failures) = sink.finish();
+        let (err, failures) = sink.finish(&snap);
         assert_eq!(failures, MAX_WRITE_ATTEMPTS);
         assert!(err.is_some(), "exhausted retries surface the fatal error");
         // Once fatal, publishes stop attempting writes entirely.
-        sink.publish_task(2, true, &[0], WorkCounters::default(), &[], None);
-        assert_eq!(sink.finish().1, MAX_WRITE_ATTEMPTS);
+        sink.tasks_done(1, &snap);
+        assert_eq!(sink.finish(&snap).1, MAX_WRITE_ATTEMPTS);
     }
 
     #[test]

@@ -36,6 +36,12 @@ use std::time::{Duration, Instant};
 /// every worker observes it at its next start-vertex boundary. Polling is
 /// one relaxed atomic load.
 ///
+/// In instrumented builds (`cfg(test)` or the `failpoints` feature) a
+/// token also names its run: every [`CancelToken::new`] draws a fresh
+/// scope id that clones share, and fault injection (the `failpoint`
+/// harness) arms sites for one scope only, so a fault armed for one run
+/// never fires in a concurrent, unrelated one.
+///
 /// # Examples
 ///
 /// ```
@@ -50,6 +56,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    #[cfg(any(test, feature = "failpoints"))]
+    scope: crate::failpoint::Scope,
 }
 
 impl CancelToken {
@@ -66,6 +74,12 @@ impl CancelToken {
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
+    }
+
+    /// The run scope this token names (shared by its clones, never 0).
+    #[cfg(any(test, feature = "failpoints"))]
+    pub(crate) fn scope(&self) -> u64 {
+        self.scope.id()
     }
 }
 
@@ -131,9 +145,10 @@ impl From<StopKind> for crate::result::RunStatus {
     }
 }
 
-/// Shared per-job stop state, polled by every worker at task boundaries.
-pub(crate) struct Monitor<'t> {
-    cancel: Option<&'t CancelToken>,
+/// Shared per-job stop state, polled by every worker at task boundaries:
+/// the one stop policy of every software run.
+pub(crate) struct Monitor {
+    cancel: CancelToken,
     deadline: Option<Instant>,
     max_iters: Option<u64>,
     /// Set-op iterations published by all workers so far.
@@ -249,8 +264,8 @@ impl Progress {
     }
 }
 
-impl<'t> Monitor<'t> {
-    pub(crate) fn new(cancel: Option<&'t CancelToken>, budget: Budget) -> Monitor<'t> {
+impl Monitor {
+    pub(crate) fn new(cancel: CancelToken, budget: Budget) -> Monitor {
         Monitor {
             cancel,
             deadline: budget.deadline,
@@ -299,6 +314,17 @@ impl<'t> Monitor<'t> {
         self.progress.as_ref().map_or(0, |p| p.heartbeat_errors.load(Ordering::Relaxed))
     }
 
+    /// The run's cancellation token (and failpoint scope).
+    pub(crate) fn cancel_token(&self) -> &CancelToken {
+        &self.cancel
+    }
+
+    /// Replaces the run's cancellation token (before the monitor is
+    /// shared with workers).
+    pub(crate) fn set_cancel_token(&mut self, cancel: CancelToken) {
+        self.cancel = cancel;
+    }
+
     /// Turns on per-task elapsed-time tracking (before the monitor is
     /// shared with workers).
     pub(crate) fn enable_timing(&mut self) {
@@ -310,8 +336,8 @@ impl<'t> Monitor<'t> {
         self.task_times.is_some()
     }
 
-    /// Publishes one worker's batch of task times (one lock per worker,
-    /// not per task).
+    /// Publishes one stint's batch of task times (one lock per stint, not
+    /// per task).
     pub(crate) fn record_times(&self, times: Vec<(u32, Duration)>) {
         if let Some(shared) = &self.task_times {
             shared.lock().expect("task-time lock poisoned").extend(times);
@@ -319,10 +345,10 @@ impl<'t> Monitor<'t> {
     }
 
     /// Takes the accumulated task times (driver-side, after the join).
-    pub(crate) fn take_times(&mut self) -> Vec<(u32, Duration)> {
+    pub(crate) fn take_times(&self) -> Vec<(u32, Duration)> {
         self.task_times
-            .take()
-            .map(|m| m.into_inner().expect("task-time lock poisoned"))
+            .as_ref()
+            .map(|m| std::mem::take(&mut *m.lock().expect("task-time lock poisoned")))
             .unwrap_or_default()
     }
 
@@ -338,7 +364,7 @@ impl<'t> Monitor<'t> {
     /// Returns the stop condition in effect, if any. The deadline clock is
     /// read only when a deadline is set.
     pub(crate) fn should_stop(&self) -> Option<StopKind> {
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+        if self.cancel.is_cancelled() {
             return Some(StopKind::Cancelled);
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -379,7 +405,7 @@ mod tests {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             max_setop_iterations: Some(0),
         };
-        let m = Monitor::new(Some(&token), budget);
+        let m = Monitor::new(token.clone(), budget);
         // Deadline outranks budget; cancellation outranks both.
         assert_eq!(m.should_stop(), Some(StopKind::DeadlineExceeded));
         token.cancel();
@@ -388,7 +414,7 @@ mod tests {
 
     #[test]
     fn monitor_budget_accounting() {
-        let m = Monitor::new(None, Budget::with_max_setop_iterations(10));
+        let m = Monitor::new(CancelToken::new(), Budget::with_max_setop_iterations(10));
         assert_eq!(m.should_stop(), None);
         m.spend(9);
         assert_eq!(m.should_stop(), None);
@@ -398,14 +424,14 @@ mod tests {
 
     #[test]
     fn unlimited_monitor_never_stops() {
-        let m = Monitor::new(None, Budget::unlimited());
+        let m = Monitor::new(CancelToken::new(), Budget::unlimited());
         m.spend(u64::MAX / 2);
         assert_eq!(m.should_stop(), None);
     }
 
     #[test]
     fn progress_tracking_enables_iteration_accounting() {
-        let mut m = Monitor::new(None, Budget::unlimited());
+        let mut m = Monitor::new(CancelToken::new(), Budget::unlimited());
         // No budget cap: iterations are normally not accumulated...
         m.spend(5);
         assert_eq!(m.spent_iters.load(Ordering::Relaxed), 0);
@@ -426,7 +452,7 @@ mod tests {
     /// silently — each skip is counted and surfaced after the run.
     #[test]
     fn contended_progress_emits_are_counted_not_silent() {
-        let mut m = Monitor::new(None, Budget::unlimited());
+        let mut m = Monitor::new(CancelToken::new(), Budget::unlimited());
         m.enable_progress(4, &ProgressOptions::every_tasks(1 << 30));
         let p = m.progress.as_ref().expect("progress enabled");
         // Holding the emitter lock makes every emit contend, exactly as a
@@ -442,7 +468,7 @@ mod tests {
     /// error on the monitor (and from there as `fm_heartbeat_errors_total`).
     #[test]
     fn unopenable_heartbeat_counts_an_error() {
-        let mut m = Monitor::new(None, Budget::unlimited());
+        let mut m = Monitor::new(CancelToken::new(), Budget::unlimited());
         let opts = ProgressOptions {
             cadence: ProgressCadence::Tasks(1 << 30),
             // A directory is never openable as an append-mode file.

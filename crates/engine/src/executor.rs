@@ -7,6 +7,7 @@
 //! implemented cycle-by-cycle in the hardware simulator; the two are
 //! cross-checked for identical counts in the integration tests.
 
+use crate::checkpoint::Checkpoint;
 use crate::cmap::{ConnectivityMap, HashCmap};
 use crate::fail_point;
 use crate::result::{Fault, MiningResult, RunStatus, WorkCounters};
@@ -42,7 +43,7 @@ pub fn prepare_graph<'g>(graph: &'g CsrGraph, plan: &ExecutionPlan) -> Cow<'g, C
 /// summaries for the SIMD tier's block skipping.
 ///
 /// The indexes are built once here — not per executor — and handed to
-/// worker [`Executor`]s behind [`Arc`]s, so parallel drivers share one
+/// worker [`Executor`]s behind [`Arc`]s, so parallel workers share one
 /// copy. Construction is governed by the config:
 /// [`EngineConfig::hub_bitmap_active`] / [`EngineConfig::simd_active`]
 /// decide whether each index is built at all, and an index that comes
@@ -50,15 +51,32 @@ pub fn prepare_graph<'g>(graph: &'g CsrGraph, plan: &ExecutionPlan) -> Cow<'g, C
 /// is too tight, or the graph has no edges) is dropped so the dispatcher
 /// never consults it.
 pub struct PreparedGraph<'g> {
-    graph: Cow<'g, CsrGraph>,
+    graph: GraphRef<'g>,
     hubs: Option<Arc<HubBitmaps>>,
     blocks: Option<Arc<BlockSummaries>>,
+}
+
+/// The graph a [`PreparedGraph`] mines: the caller's input, borrowed
+/// ([`prepare`]) or shared ([`JobCore`](crate::JobCore)), or the
+/// oriented copy built from it. Never a copy of the input itself.
+enum GraphRef<'g> {
+    Borrowed(&'g CsrGraph),
+    Shared(Arc<CsrGraph>),
+}
+
+impl GraphRef<'_> {
+    fn get(&self) -> &CsrGraph {
+        match self {
+            GraphRef::Borrowed(g) => g,
+            GraphRef::Shared(g) => g,
+        }
+    }
 }
 
 impl<'g> PreparedGraph<'g> {
     /// The prepared (oriented for k-clique plans) graph.
     pub fn graph(&self) -> &CsrGraph {
-        &self.graph
+        self.graph.get()
     }
 
     /// A shared handle to the hub index, if one was built and is non-empty.
@@ -70,12 +88,17 @@ impl<'g> PreparedGraph<'g> {
     pub fn blocks_arc(&self) -> Option<Arc<BlockSummaries>> {
         self.blocks.clone()
     }
+
+    /// A fresh executor over this graph sharing its indexes.
+    pub(crate) fn executor<'a>(&'a self, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'a> {
+        Executor::with_shared(self.graph(), plan, cfg, self.hubs_arc(), self.blocks_arc())
+    }
 }
 
 impl std::ops::Deref for PreparedGraph<'_> {
     type Target = CsrGraph;
     fn deref(&self) -> &CsrGraph {
-        &self.graph
+        self.graph()
     }
 }
 
@@ -88,20 +111,51 @@ pub fn prepare<'g>(
     plan: &ExecutionPlan,
     cfg: &EngineConfig,
 ) -> PreparedGraph<'g> {
-    let graph = prepare_graph(graph, plan);
-    let hubs = if cfg.hub_bitmap_active() {
-        let idx = HubBitmaps::build(&graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-        (!idx.is_empty()).then(|| Arc::new(idx))
-    } else {
-        None
+    prepare_ref(GraphRef::Borrowed(graph), plan, cfg)
+}
+
+/// [`prepare`] over a shared graph, for jobs that must own their
+/// preparation (a [`JobCore`](crate::JobCore) outlives its caller's stack).
+pub(crate) fn prepare_shared(
+    graph: &Arc<CsrGraph>,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+) -> PreparedGraph<'static> {
+    prepare_ref(GraphRef::Shared(Arc::clone(graph)), plan, cfg)
+}
+
+fn prepare_ref<'g>(
+    input: GraphRef<'g>,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+) -> PreparedGraph<'g> {
+    let oriented = match prepare_graph(input.get(), plan) {
+        Cow::Owned(g) => Some(g),
+        Cow::Borrowed(_) => None,
     };
-    let blocks = if cfg.simd_active() {
-        let bl = BlockSummaries::build(&graph);
-        (!bl.is_empty()).then(|| Arc::new(bl))
-    } else {
-        None
-    };
+    let graph = oriented.map_or(input, |g| GraphRef::Shared(Arc::new(g)));
+    let (hubs, blocks) = build_indexes(graph.get(), cfg);
     PreparedGraph { graph, hubs, blocks }
+}
+
+/// The auxiliary indexes `cfg` calls for over an already-prepared graph:
+/// each is built only when its tier is active and dropped when it comes
+/// back empty, so the dispatcher never consults it.
+fn build_indexes(
+    graph: &CsrGraph,
+    cfg: &EngineConfig,
+) -> (Option<Arc<HubBitmaps>>, Option<Arc<BlockSummaries>>) {
+    let hubs = cfg
+        .hub_bitmap_active()
+        .then(|| HubBitmaps::build(graph, cfg.hub_degree_threshold, cfg.hub_memory_budget))
+        .filter(|idx| !idx.is_empty())
+        .map(Arc::new);
+    let blocks = cfg
+        .simd_active()
+        .then(|| BlockSummaries::build(graph))
+        .filter(|bl| !bl.is_empty())
+        .map(Arc::new);
+    (hubs, blocks)
 }
 
 /// Convenience entry point: prepares the graph and mines every start vertex
@@ -126,13 +180,7 @@ pub fn mine_single_threaded(
     cfg: &EngineConfig,
 ) -> MiningResult {
     let prepared = prepare(graph, plan, cfg);
-    let mut ex = Executor::with_shared(
-        prepared.graph(),
-        plan,
-        cfg,
-        prepared.hubs_arc(),
-        prepared.blocks_arc(),
-    );
+    let mut ex = prepared.executor(plan, cfg);
     ex.run_range(0, prepared.num_vertices() as u32);
     ex.finish()
 }
@@ -227,7 +275,7 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// A single-threaded, plan-driven mining executor over a prepared graph.
 ///
 /// Most callers want [`crate::mine`] (which handles graph preparation and
-/// threading); `Executor` is the building block exposed for the parallel
+/// threading); `Executor` is the building block exposed for the task
 /// driver, the benchmarks and differential tests.
 pub struct Executor<'g> {
     graph: &'g CsrGraph,
@@ -245,18 +293,7 @@ impl<'g> Executor<'g> {
     /// drivers share prebuilt indexes across workers via
     /// [`Executor::with_shared`] instead.
     pub fn new(graph: &'g CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig) -> Executor<'g> {
-        let hubs = if cfg.hub_bitmap_active() {
-            let idx = HubBitmaps::build(graph, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-            (!idx.is_empty()).then(|| Arc::new(idx))
-        } else {
-            None
-        };
-        let blocks = if cfg.simd_active() {
-            let bl = BlockSummaries::build(graph);
-            (!bl.is_empty()).then(|| Arc::new(bl))
-        } else {
-            None
-        };
+        let (hubs, blocks) = build_indexes(graph, cfg);
         Self::with_shared(graph, plan, cfg, hubs, blocks)
     }
 
@@ -418,29 +455,28 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// Set-operation iterations consumed so far (budget accounting).
-    pub fn setop_iterations_so_far(&self) -> u64 {
+    /// Set-op iterations tallied since the last
+    /// [`publish_into`](Self::publish_into) (budget accounting).
+    pub(crate) fn unpublished_setop_iterations(&self) -> u64 {
         self.state.work.setop_iterations
     }
 
-    /// Per-pattern counts accumulated so far (checkpoint delta snapshots).
-    pub fn counts_so_far(&self) -> &[u64] {
-        &self.state.counts
-    }
-
-    /// Work counters accumulated so far.
-    pub fn work_so_far(&self) -> WorkCounters {
-        self.state.work
-    }
-
-    /// Fault attempts recorded so far, in occurrence order.
-    pub fn faults_so_far(&self) -> &[Fault] {
-        &self.state.faults
-    }
-
-    /// Quarantined start vertices so far, in occurrence order.
-    pub fn quarantined_so_far(&self) -> &[Fault] {
-        &self.state.quarantined
+    /// Moves everything tallied since the last call — counts, work
+    /// counters, completed start vertices, fault attempts, quarantines —
+    /// into `snap`, leaving the executor's own tallies empty. Called at a
+    /// task boundary, it publishes exactly the tasks run since the last
+    /// call: the task loop's snapshot update.
+    pub(crate) fn publish_into(&mut self, snap: &mut Checkpoint) {
+        let st = &mut self.state;
+        for (total, c) in snap.counts.iter_mut().zip(&mut st.counts) {
+            *total += std::mem::take(c);
+        }
+        snap.work += std::mem::take(&mut st.work);
+        for v in st.completed.drain(..) {
+            snap.completed.insert(v);
+        }
+        snap.faults.append(&mut st.faults);
+        snap.quarantined.append(&mut st.quarantined);
     }
 
     /// Installs this worker's telemetry collector (observed runs only).
@@ -613,7 +649,8 @@ fn step(
             let hub = aux.hubs.and_then(|h| h.row(v));
             let src = state.core_at[d - 1];
             let merge_bound = if node.bounded_build { bound } else { None };
-            let work_before = state.telemetry.is_some().then_some(state.work);
+            let work_before =
+                state.telemetry.as_ref().is_some_and(|t| t.metrics).then_some(state.work);
             let mut served = None;
             if aux.reuse {
                 if let Some(p) = node.consume_prefix {
@@ -650,13 +687,13 @@ fn step(
         }
     }
 
-    let work_before = state.telemetry.is_some().then_some(state.work);
+    let work_before = state.telemetry.as_ref().is_some_and(|t| t.metrics).then_some(state.work);
     build_core(g, aux, cfg, prog, state, node_idx, bound);
 
     let core = state.core_at[d];
     let len = state.frontiers[core].len();
 
-    // Observed runs: charge this level's candidate-generation delta (all
+    // Metered runs: charge this level's candidate-generation delta (all
     // build_core arms — merges, gallops, probes, and c-map traffic) to
     // depth `d`, and sample the size of any newly materialized frontier.
     if let (Some(t), Some(before)) = (state.telemetry.as_deref_mut(), work_before) {

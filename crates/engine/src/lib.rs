@@ -9,7 +9,7 @@
 //! * **GraphZero model** — plan with symmetry breaking + frontier-list
 //!   memoization, merge-based set intersection/difference
 //!   ([`setops`]), recursive DFS ([`executor`]), optionally multithreaded
-//!   with one task per start vertex ([`parallel`]). This is the paper's CPU
+//!   with one task per start vertex ([`stream`]). This is the paper's CPU
 //!   baseline (§VII-A).
 //! * **AutoMine model** — the same executor on a plan compiled without
 //!   symmetry bounds ([`fm_plan::CompileOptions::automine`]); each
@@ -26,6 +26,12 @@
 //! All engines report [`WorkCounters`] (set-operation iterations,
 //! comparisons, c-map traffic) used by the motivation study (Fig. 7 and the
 //! branch-misprediction discussion of §III).
+//!
+//! Every software run of the GraphZero/AutoMine model goes through one
+//! task loop in [`stream`]: [`mine`] and [`mine_with`] drain a job with N
+//! threads, and a supervisor drives [`JobCore`]s in preemptible stints.
+//! [`mine_single_threaded`] is the loop-free sequential reference the
+//! tests compare against.
 //!
 //! # Examples
 //!
@@ -48,7 +54,6 @@ pub mod executor;
 #[cfg(any(test, feature = "failpoints"))]
 pub mod failpoint;
 pub mod oblivious;
-pub mod parallel;
 pub mod result;
 pub(crate) mod reuse;
 pub mod setops;
@@ -67,18 +72,28 @@ macro_rules! fail_point {
 }
 pub(crate) use fail_point;
 
+/// Marks the current thread as running tasks of the run that carries
+/// `$token` (a [`CancelToken`]) until the end of the enclosing block, so
+/// failpoints armed for that run fire here and nowhere else. Expands to
+/// nothing in uninstrumented builds.
+macro_rules! fail_scope {
+    ($token:expr) => {
+        #[cfg(any(test, feature = "failpoints"))]
+        let _fail_scope = crate::failpoint::enter($token);
+    };
+}
+pub(crate) use fail_scope;
+
 pub use checkpoint::{
     config_fingerprint, plan_fingerprint, Checkpoint, CheckpointConfig, CheckpointError,
     CompletedSet, GraphFingerprint,
 };
 pub use control::{Budget, CancelToken};
 pub use executor::{mine_single_threaded, prepare, Executor, PreparedGraph};
-pub use parallel::{
-    mine, mine_observed, mine_prepared, mine_prepared_observed, mine_prepared_with_cancel,
-    mine_resumed, mine_with_cancel, mine_with_recovery, Recovery,
-};
 pub use result::{Fault, MiningResult, RunStatus, Straggler, WorkCounters};
-pub use stream::{JobCore, Stint, TaskCursor};
+pub use stream::{
+    mine, mine_prepared, mine_prepared_observed, mine_with, JobCore, MineOptions, Stint, TaskCursor,
+};
 pub use telemetry::{ProgressOptions, TelemetryOptions};
 
 /// Configuration of the software mining engines.

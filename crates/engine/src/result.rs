@@ -171,10 +171,10 @@ impl AddAssign for WorkCounters {
 
 /// How a mining run ended.
 ///
-/// Variants are ordered by severity; the parallel driver combines the
-/// statuses of concurrent workers with `max`, so an explicit cancellation
-/// is never downgraded to a deadline report and a stop reason is never
-/// masked by a mere degradation.
+/// Variants are ordered by severity; the task loop combines the stop
+/// conditions its concurrent workers observe with `max`, so an explicit
+/// cancellation is never downgraded to a deadline report and a stop
+/// reason is never masked by a mere degradation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum RunStatus {
     /// Every start vertex was mined; counts are total.
@@ -346,7 +346,8 @@ impl MiningResult {
         MiningResult { counts: vec![0; patterns], ..MiningResult::default() }
     }
 
-    /// Merges another result into this one (used by the parallel driver).
+    /// Merges another result into this one (used by the pattern-oblivious
+    /// engine's workers).
     /// Counts and work add; statuses combine by severity. The `completed`
     /// list is kept sorted and deduplicated — workers own disjoint start
     /// vertices, so a duplicate would mean double-counted work (asserted

@@ -1,56 +1,270 @@
-//! Preemptible task-stream mining: one job sliced into supervisor-sized
-//! stints.
+//! The task loop: every software mining run, sliced into stints.
 //!
-//! The thread-per-job driver in [`parallel`](crate::parallel) owns its
-//! workers for the whole run. A multi-job supervisor needs the opposite
-//! shape: the *job* is passive state ([`JobCore`]) and any worker thread
-//! can advance it by running a bounded stint of start-vertex tasks. Because
-//! start-vertex tasks are mutually independent and counts/aggregate
-//! [`WorkCounters`] are schedule-independent (the property the parallel
-//! driver and the checkpoint/resume layer are already built on), a job
-//! interleaved with others, paused, resumed, or moved across processes
-//! through a [`Checkpoint`] produces results bit-identical to an
-//! uninterrupted run.
+//! GPM's parallelism is embarrassing: "the searches starting from different
+//! vertices of G are mutually independent tasks and can be done
+//! concurrently" (§I). Like the FlexMiner scheduler handing start vertices
+//! to idle PEs, a job here is passive state — the pending start vertices
+//! behind a lock-free claim cursor, the accumulated [`Checkpoint`]
+//! snapshot, and the stop policy — and any thread advances it by running a
+//! *stint*: claim a chunk, run each start vertex inside its panic boundary
+//! ([`Executor::run_vertex_isolated`]), publish the chunk's contribution
+//! to the snapshot, repeat. There is one such loop, with two drivers:
 //!
-//! Building blocks:
+//! * [`mine`] / [`mine_with`] drain one job with `threads` scoped threads,
+//!   each running one unbounded stint (the calling thread runs it when
+//!   `threads` is 1). The loop also carries the run's per-task hooks:
+//!   straggler timing, live progress, per-worker telemetry collectors and
+//!   the periodic checkpoint writer.
+//! * A multi-job supervisor holds [`JobCore`]s — a job plus the prepared
+//!   graph it owns, `'static` and `Arc`-shareable — and hands bounded
+//!   stints of many jobs to one worker pool, pausing, resuming, and moving
+//!   jobs across processes through their snapshots.
 //!
-//! * [`TaskCursor`] — the lock-free chunk claimer shared with the parallel
-//!   driver: check-then-advance CAS, so the cursor never overshoots and a
-//!   drained queue reads exactly `len`.
-//! * [`JobCore`] — one mining job as shareable state: the prepared graph
-//!   (owned, so the core is `'static` and `Arc`-shareable), the pending
-//!   queue, the accumulated [`Checkpoint`] snapshot, and the pause/cancel
-//!   flags. [`run_stint`](JobCore::run_stint) is re-entrant: several
-//!   supervisor workers may advance the same job concurrently, claiming
-//!   disjoint chunks.
+//! Because start-vertex tasks are mutually independent and counts and
+//! aggregate [`WorkCounters`](crate::WorkCounters) are schedule-independent,
+//! a job run on any number of threads, interleaved with others, paused,
+//! resumed, or restarted from a [`Checkpoint`] produces results
+//! bit-identical to an uninterrupted single-threaded run.
 //!
 //! # Preemption invariants
 //!
-//! * Every claimed task either runs to its boundary (and its delta is in
-//!   the snapshot) or is returned to the scheduler untouched — a pause can
-//!   never strand or double-run a start vertex.
-//! * The snapshot is updated under one lock per finished task, so it is
-//!   always a consistent {bitmap, counts, work, faults} tuple: pausing at
-//!   any instant and resuming (in-process or from the serialized bytes)
-//!   loses nothing and repeats nothing.
+//! * Every claimed task either runs to its boundary (and its contribution
+//!   is in the snapshot) or is returned to the scheduler untouched — a
+//!   pause can never strand or double-run a start vertex.
+//! * Finished tasks reach the snapshot under its lock once per claimed
+//!   chunk, and before a stint yields, so the snapshot is always a
+//!   consistent {bitmap, counts, work, faults} tuple over whole tasks:
+//!   pausing at any instant and resuming (in-process or from the
+//!   serialized bytes) loses nothing and repeats nothing. That is the
+//!   only lock the loop takes between claims; the other hooks use atomics
+//!   or publish once per stint.
 //! * Stop conditions (cancel, deadline, iteration budget) are terminal;
 //!   pause is not. A paused job resumes with
 //!   [`resume_paused`](JobCore::resume_paused) once its active stints have
 //!   yielded.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::control::CancelToken;
-use crate::executor::{prepare_graph, Executor};
-use crate::result::{MiningResult, RunStatus, WorkCounters};
-use crate::EngineConfig;
-use fm_graph::{BlockSummaries, CsrGraph, HubBitmaps, VertexId};
+use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, CheckpointWriter};
+use crate::control::{CancelToken, Monitor};
+use crate::executor::{payload_string, prepare, prepare_shared, Executor, PreparedGraph};
+use crate::result::{detect_stragglers, Fault, MiningResult, RunStatus};
+use crate::telemetry::TelemetryOptions;
+use crate::{fail_scope, EngineConfig};
+use fm_graph::{CsrGraph, VertexId};
 use fm_plan::ExecutionPlan;
-use fm_telemetry::{Span, SpanRing, TraceClock};
-use std::borrow::Cow;
+use fm_telemetry::{Span, SpanRing, TelemetryShard, TraceClock};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Mines `plan` over `graph` with the configured number of worker threads,
+/// returning aggregated counts and work counters.
+///
+/// Graph preparation (k-clique orientation, auxiliary indexes) happens
+/// once, up front.
+///
+/// # Examples
+///
+/// ```
+/// use fm_engine::{mine, EngineConfig};
+/// use fm_graph::generators;
+/// use fm_pattern::Pattern;
+/// use fm_plan::{compile, CompileOptions};
+///
+/// let g = generators::complete(10);
+/// let plan = compile(&Pattern::k_clique(5), CompileOptions::default());
+/// let result = mine(&g, &plan, &EngineConfig::with_threads(4));
+/// assert_eq!(result.counts, vec![252]); // C(10,5)
+/// ```
+pub fn mine(graph: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig) -> MiningResult {
+    mine_prepared(&prepare(graph, plan, cfg), plan, cfg)
+}
+
+/// Everything a [`mine_with`] run can carry beyond the engine config. The
+/// default options make it a plain [`mine`].
+#[derive(Clone, Debug, Default)]
+pub struct MineOptions {
+    /// Observed at start-vertex granularity: any clone of the token stops
+    /// the run at the next task boundary and the result reports
+    /// [`RunStatus::Cancelled`] with exact counts for the start vertices
+    /// already finished. The token's scope also scopes fault injection to
+    /// this run. A fresh token when `None`.
+    pub cancel: Option<CancelToken>,
+    /// Continue from a previously written snapshot: its completed start
+    /// vertices are skipped and their contribution seeded from the
+    /// snapshot, so the final counts are bit-identical to an uninterrupted
+    /// run. The snapshot must validate against the same graph, plan, and
+    /// count-relevant config (see [`Checkpoint::validate`]). Previously
+    /// quarantined vertices are *re-attempted* — a process restart is the
+    /// classic cure for environmental faults — with their fault history
+    /// carried forward.
+    pub resume: Option<Checkpoint>,
+    /// Write periodic [`Checkpoint`] snapshots per this cadence, and a
+    /// final one at exit (a resumed run keeps checkpointing, so a job can
+    /// be interrupted any number of times).
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Depth/tier metrics, Chrome-trace spans (`prepare`, `mine`,
+    /// `start-vertex-task`, `checkpoint-write`), and live progress. Never
+    /// changes counts or work counters; it only adds the
+    /// [`MiningResult::telemetry`] shard.
+    pub telemetry: TelemetryOptions,
+}
+
+/// [`mine`] with cancellation, durable recovery, and telemetry per `opts`.
+///
+/// # Errors
+///
+/// [`CheckpointError`] if the resume snapshot does not match this job's
+/// graph, plan, or count-relevant config — a structured refusal, never a
+/// silently wrong count. Periodic *write* failures do not error the run:
+/// mining continues and the failures are reported in
+/// [`MiningResult::checkpoint_failures`] /
+/// [`MiningResult::checkpoint_error`].
+pub fn mine_with(
+    graph: &CsrGraph,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+    opts: &MineOptions,
+) -> Result<MiningResult, CheckpointError> {
+    let seed = match &opts.resume {
+        Some(snapshot) => {
+            snapshot.validate(graph, plan, cfg)?;
+            resumed(snapshot.clone())
+        }
+        None if opts.checkpoint.is_some() => {
+            Checkpoint::empty(graph, plan, cfg, plan.patterns.len())
+        }
+        None => Checkpoint::unfingerprinted(graph.num_vertices(), plan.patterns.len()),
+    };
+    let trace = opts.telemetry.trace;
+    let prepare_start = trace.map(|c| c.now_us());
+    let prepared = prepare(graph, plan, cfg);
+    let prepare_span = trace
+        .map(|clock| Span::close(&clock, "prepare", "engine", prepare_start.unwrap_or(0), 0, None));
+    let mut result = drain(&prepared, plan, cfg, seed, opts);
+    if let Some(span) = prepare_span {
+        result.telemetry.get_or_insert_with(Default::default).absorb_spans(vec![span], 0);
+    }
+    Ok(result)
+}
+
+/// Like [`mine`], but over a graph already prepared with
+/// [`prepare`](crate::executor::prepare). Benchmarks use this to exclude
+/// the one-time preprocessing (orientation and hub-index construction)
+/// from timed regions (the paper: "the preprocessing time is usually less
+/// than 1% of the execution time, and once converted, the graph can be
+/// used for any k-CL").
+pub fn mine_prepared(
+    g: &PreparedGraph<'_>,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+) -> MiningResult {
+    mine_prepared_observed(g, plan, cfg, &TelemetryOptions::default())
+}
+
+/// [`mine_prepared`] with telemetry collection: depth/tier metrics, spans,
+/// and/or live progress per `telemetry`. With the default (disabled)
+/// options this is exactly [`mine_prepared`] — the overhead-ablation bench
+/// compares the two on the same prepared graph.
+pub fn mine_prepared_observed(
+    g: &PreparedGraph<'_>,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+    telemetry: &TelemetryOptions,
+) -> MiningResult {
+    let seed = Checkpoint::unfingerprinted(g.num_vertices(), plan.patterns.len());
+    drain(g, plan, cfg, seed, &MineOptions { telemetry: telemetry.clone(), ..Default::default() })
+}
+
+/// The seed of a resumed job: the snapshot minus its quarantine list,
+/// whose vertices are about to be re-attempted (their fault history, which
+/// already includes each one's final attempt, carries forward).
+fn resumed(snapshot: Checkpoint) -> Checkpoint {
+    Checkpoint { quarantined: Vec::new(), ..snapshot }
+}
+
+/// Drives one job over `g` to completion on `cfg.threads` threads and
+/// returns its finalized result. Worker `w` traces as lane `w + 1`; the
+/// driver's own spans (`mine`, `checkpoint-write`) are lane 0.
+fn drain(
+    g: &PreparedGraph<'_>,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+    seed: Checkpoint,
+    opts: &MineOptions,
+) -> MiningResult {
+    let telemetry = &opts.telemetry;
+    let mine_start = telemetry.trace.map(|c| c.now_us());
+    let mut job = JobState::new(g, *cfg, seed);
+    if let Some(token) = &opts.cancel {
+        job.monitor.set_cancel_token(token.clone());
+    }
+    if cfg.straggler_ratio > 0 {
+        job.monitor.enable_timing();
+    }
+    if let Some(p) = &telemetry.progress {
+        let total = job.remaining() as u64;
+        job.monitor.enable_progress(total, p);
+    }
+    if let Some(ckpt) = &opts.checkpoint {
+        let writer = CheckpointWriter::new(ckpt.clone(), telemetry.trace);
+        job.snap.get_mut().expect("job snapshot lock poisoned").writer = Some(writer);
+    }
+    job.telemetry = telemetry.clone();
+    if cfg.threads <= 1 {
+        job.stint(g, plan, u64::MAX, 1);
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..=cfg.threads as u32)
+                .map(|lane| {
+                    let job = &job;
+                    scope.spawn(move || job.stint(g, plan, u64::MAX, lane))
+                })
+                .collect();
+            for worker in workers {
+                // Per-task panics are isolated inside the loop; a panic
+                // escaping it degrades the job instead of aborting it. No
+                // start vertex is attributable, so the fault is recorded
+                // against the sentinel vid u32::MAX — and quarantined,
+                // since nothing retried it.
+                if let Err(payload) = worker.join() {
+                    let fault =
+                        Fault { vid: u32::MAX, attempt: 0, payload: payload_string(&*payload) };
+                    let mut snap = job.snap.lock().expect("job snapshot lock poisoned");
+                    snap.ckpt.faults.push(fault.clone());
+                    snap.ckpt.quarantined.push(fault);
+                }
+            }
+        });
+    }
+    let mut result = job.result();
+    let mut times = job.monitor.take_times();
+    result.stragglers = detect_stragglers(&mut times, cfg.straggler_ratio, cfg.straggler_min_task);
+    result.telemetry = job.shard.into_inner().expect("job telemetry lock poisoned").map(Box::new);
+    let mut driver_spans = Vec::new();
+    let snap = job.snap.get_mut().expect("job snapshot lock poisoned");
+    if let Some(writer) = &mut snap.writer {
+        (result.checkpoint_error, result.checkpoint_failures) = writer.finish(&snap.ckpt);
+        driver_spans = writer.take_spans();
+    }
+    if let Some(clock) = telemetry.trace {
+        driver_spans.push(Span::close(&clock, "mine", "engine", mine_start.unwrap_or(0), 0, None));
+        result.telemetry.get_or_insert_with(Default::default).absorb_spans(driver_spans, 0);
+    }
+    job.monitor.finish_progress(result.stragglers.len() as u64, result.status.as_str());
+    // Progress reports skipped on emitter contention ride back on the
+    // telemetry shard; runs without progress (dropped == 0) attach nothing,
+    // keeping telemetry-off results bit-identical.
+    let dropped = job.monitor.progress_dropped();
+    if dropped > 0 {
+        result.telemetry.get_or_insert_with(Default::default).progress_dropped += dropped;
+    }
+    let heartbeat_errors = job.monitor.heartbeat_errors();
+    if heartbeat_errors > 0 {
+        result.telemetry.get_or_insert_with(Default::default).heartbeat_errors += heartbeat_errors;
+    }
+    result
+}
 
 /// Lock-free chunk claimer over an indexed task list.
 ///
@@ -58,8 +272,7 @@ use std::time::Instant;
 /// check-then-advance CAS loop: once the cursor reaches `len`, claimers
 /// exit without pushing it further, so a drained cursor reads exactly
 /// `len` — deterministic under any interleaving — instead of overshooting
-/// by up to `threads * chunk`. Both the thread-pool driver and [`JobCore`]
-/// schedule through this type.
+/// by up to `threads * chunk`.
 pub struct TaskCursor {
     cursor: AtomicUsize,
     len: usize,
@@ -140,62 +353,287 @@ struct Sched {
 }
 
 /// Optional stint tracing, enabled with [`JobCore::set_trace`]. The clock
-/// is shared with the supervisor's own spans (ISSUE 10 satellite: one
-/// `TraceClock` origin per serve session, so all jobs' spans merge onto
-/// one Perfetto timeline). Spans are buffered per stint and flushed into
-/// the shared ring under one lock per stint, keeping the per-task hot
-/// path lock-free.
+/// is shared with the supervisor's own spans (one `TraceClock` origin per
+/// serve session, so all jobs' spans merge onto one Perfetto timeline).
+/// Spans are buffered per stint and flushed into the shared ring under one
+/// lock per stint, keeping the per-task hot path lock-free.
 struct JobTrace {
     clock: TraceClock,
     ring: Mutex<SpanRing>,
-    /// Emit one `start-vertex-task` span per task (in addition to the
-    /// per-stint span).
-    task_spans: bool,
 }
 
-/// One mining job as preemptible, `Arc`-shareable state.
+/// A job's accumulated progress: the same snapshot type the durable layer
+/// writes, plus the periodic writer of a checkpointed run, both under one
+/// lock so a written snapshot is always consistent.
+struct Snap {
+    ckpt: Checkpoint,
+    writer: Option<CheckpointWriter>,
+}
+
+/// One job's graph-free state: everything the task loop reads and writes
+/// except the prepared graph and the plan, which the driver passes to
+/// [`stint`](Self::stint) — owned by a [`JobCore`], or borrowed for the
+/// length of one [`mine_with`] run, so neither copies the graph.
+struct JobState {
+    cfg: EngineConfig,
+    sched: Mutex<Sched>,
+    snap: Mutex<Snap>,
+    /// Preemption request; observed at start-vertex boundaries.
+    pause: AtomicBool,
+    /// The stop policy (cancel over deadline over iteration budget) plus
+    /// the optional progress reporter and straggler timing.
+    monitor: Monitor,
+    /// Terminal stop, once a stop condition has fired (max severity wins).
+    stopped: Mutex<Option<RunStatus>>,
+    /// Stints currently inside `stint`.
+    active: AtomicUsize,
+    /// Per-stint collectors (metrics, task spans); off by default.
+    telemetry: TelemetryOptions,
+    /// Collector shards of finished stints, merged (untraced jobs).
+    shard: Mutex<Option<TelemetryShard>>,
+    /// Stint spans, off (`None`) by default so untraced jobs pay one null
+    /// check per stint. Task spans of a traced job join them here.
+    trace: Option<JobTrace>,
+}
+
+impl JobState {
+    /// A job over the prepared graph `g`, continuing from `snap`: its
+    /// completed start vertices are skipped. With several threads the
+    /// pending queue is degree-descending: the hub subtrees dominate the
+    /// critical path on power-law inputs, so scheduling them first keeps
+    /// them off the tail of the dynamic schedule. Ties break by ascending
+    /// vid (stable sort), keeping the schedule deterministic.
+    fn new(g: &CsrGraph, cfg: EngineConfig, snap: Checkpoint) -> JobState {
+        let mut pending: Vec<u32> =
+            (0..g.num_vertices() as u32).filter(|&v| !snap.completed.contains(v)).collect();
+        if cfg.degree_sched && cfg.threads > 1 {
+            pending.sort_by_key(|&v| std::cmp::Reverse(g.degree(VertexId(v))));
+        }
+        let cursor = Arc::new(TaskCursor::new(pending.len(), cfg.chunk_size));
+        JobState {
+            cfg,
+            sched: Mutex::new(Sched { pending: Arc::new(pending), cursor, leftover: Vec::new() }),
+            snap: Mutex::new(Snap { ckpt: snap, writer: None }),
+            pause: AtomicBool::new(false),
+            monitor: Monitor::new(CancelToken::new(), cfg.budget),
+            stopped: Mutex::new(None),
+            active: AtomicUsize::new(0),
+            telemetry: TelemetryOptions::default(),
+            shard: Mutex::new(None),
+            trace: None,
+        }
+    }
+
+    fn stop_status(&self) -> Option<RunStatus> {
+        *self.stopped.lock().expect("job stop lock poisoned")
+    }
+
+    fn record_stop(&self, status: RunStatus) -> RunStatus {
+        let mut s = self.stopped.lock().expect("job stop lock poisoned");
+        let merged = s.map_or(status, |prev| prev.max(status));
+        *s = Some(merged);
+        merged
+    }
+
+    /// Pending start vertices not yet claimed by any stint.
+    fn remaining(&self) -> usize {
+        let s = self.sched.lock().expect("job sched lock poisoned");
+        s.cursor.remaining() + s.leftover.len()
+    }
+
+    /// Returns claimed-but-unrun vids to the scheduler (pause or stop hit
+    /// mid-chunk), so no task is stranded.
+    fn stash(&self, vids: &[u32]) {
+        if !vids.is_empty() {
+            self.sched.lock().expect("job sched lock poisoned").leftover.extend_from_slice(vids);
+        }
+    }
+
+    /// Runs up to `max_tasks` start-vertex tasks (rounded up to the chunk
+    /// grain) of this job over `g` on the calling thread, tracing as
+    /// `lane`. Re-entrant: concurrent stints claim disjoint chunks of the
+    /// same queue. Pause and stop conditions are observed at every task
+    /// boundary; a preempted stint returns its unrun claims to the
+    /// scheduler before yielding.
+    fn stint(
+        &self,
+        g: &PreparedGraph<'_>,
+        plan: &ExecutionPlan,
+        max_tasks: u64,
+        lane: u32,
+    ) -> Stint {
+        let stint_start = self.trace.as_ref().map(|t| t.clock.now_us());
+        let mut spans: Vec<Span> = Vec::new();
+        let stint = self.run_tasks(g, plan, max_tasks, lane, &mut spans);
+        if let (Some(t), Some(start)) = (&self.trace, stint_start) {
+            let (name, tasks) = match stint {
+                Stint::Ran { tasks, .. } => ("stint", tasks),
+                Stint::Paused { tasks } => ("stint-paused", tasks),
+                Stint::Stopped(_) => ("stint-stopped", 0),
+            };
+            spans.push(Span::close(&t.clock, name, "job", start, lane, Some(("tasks", tasks))));
+            let mut ring = t.ring.lock().unwrap_or_else(|e| e.into_inner());
+            for s in spans {
+                ring.push(s);
+            }
+        }
+        stint
+    }
+
+    /// The task loop proper. Finished tasks reach the snapshot once per
+    /// claimed chunk — the only lock the loop takes between claims; the
+    /// stop policy and progress see every task through atomics, task times
+    /// and the collector shard are published once at the end of the
+    /// stint, and task spans of a traced job are buffered in `spans` for
+    /// the caller to flush.
+    fn run_tasks(
+        &self,
+        g: &PreparedGraph<'_>,
+        plan: &ExecutionPlan,
+        max_tasks: u64,
+        lane: u32,
+        spans: &mut Vec<Span>,
+    ) -> Stint {
+        if let Some(status) = self.stop_status() {
+            return Stint::Stopped(status);
+        }
+        if self.pause.load(Ordering::Acquire) {
+            return Stint::Paused { tasks: 0 };
+        }
+        let (pending, cursor) = {
+            let s = self.sched.lock().expect("job sched lock poisoned");
+            (Arc::clone(&s.pending), Arc::clone(&s.cursor))
+        };
+        let _active = ActiveGuard::enter(&self.active);
+        fail_scope!(self.monitor.cancel_token());
+        let mut ex = g.executor(plan, &self.cfg);
+        // Whole chunks are claimed while fewer than `max_tasks` ran, so a
+        // stint runs up to `max_tasks` rounded up to the chunk grain.
+        let chunk = cursor.chunk as u64;
+        let most_tasks = max_tasks.div_ceil(chunk).saturating_mul(chunk).max(chunk);
+        if let Some(c) = self.telemetry.collector(lane, most_tasks) {
+            ex.set_telemetry(c);
+        }
+        let mut times = self.monitor.timing_enabled().then(Vec::new);
+        let timed = times.is_some() || ex.telemetry_times_tasks();
+        let clock = ex.telemetry_clock();
+        let mut ran = 0u64;
+        let mut interrupt = None;
+        while interrupt.is_none() && ran < max_tasks {
+            let Some(range) = cursor.claim() else { break };
+            let mut done = 0;
+            for idx in range.clone() {
+                interrupt = if self.pause.load(Ordering::Acquire) {
+                    Some(Stint::Paused { tasks: 0 })
+                } else {
+                    self.monitor
+                        .should_stop()
+                        .map(|kind| Stint::Stopped(self.record_stop(kind.into())))
+                };
+                if interrupt.is_some() {
+                    self.stash(&pending[idx..range.end]);
+                    break;
+                }
+                let v = pending[idx];
+                let started = timed.then(Instant::now);
+                let span_start = clock.map(|c| c.now_us());
+                let iters_before = ex.unpublished_setop_iterations();
+                let ok = ex.run_vertex_isolated(VertexId(v));
+                if let Some(started) = started {
+                    let elapsed = started.elapsed();
+                    if let Some(times) = times.as_mut() {
+                        times.push((v, elapsed));
+                    }
+                    ex.telemetry_task_finished(v, span_start, elapsed);
+                }
+                self.monitor.spend(ex.unpublished_setop_iterations() - iters_before);
+                self.monitor.task_finished(ok);
+                done += 1;
+            }
+            self.publish(&mut ex, done);
+            ran += done;
+        }
+        if let Some(times) = times {
+            self.monitor.record_times(times);
+        }
+        if let Some(mut shard) = ex.finish().telemetry {
+            if let Some(t) = &self.trace {
+                spans.append(&mut shard.spans);
+                t.ring.lock().unwrap_or_else(|e| e.into_inner()).dropped += shard.dropped_spans;
+            } else {
+                let mut merged = self.shard.lock().expect("job telemetry lock poisoned");
+                merged.get_or_insert_with(Default::default).merge(&shard);
+            }
+        }
+        match interrupt {
+            Some(Stint::Paused { .. }) => Stint::Paused { tasks: ran },
+            Some(stopped) => stopped,
+            None => Stint::Ran { tasks: ran, drained: self.remaining() == 0 },
+        }
+    }
+
+    /// Moves the `tasks` whole tasks `ex` ran since its last publish into
+    /// the snapshot, under the snapshot's one lock, and lets a periodic
+    /// checkpoint writer count them (and write if due).
+    fn publish(&self, ex: &mut Executor<'_>, tasks: u64) {
+        if tasks == 0 {
+            return;
+        }
+        let mut snap = self.snap.lock().expect("job snapshot lock poisoned");
+        let Snap { ckpt, writer } = &mut *snap;
+        ex.publish_into(ckpt);
+        if let Some(writer) = writer {
+            writer.tasks_done(tasks, ckpt);
+        }
+    }
+
+    /// The job's result over everything run so far: a drained,
+    /// quarantine-free job is [`Complete`](RunStatus::Complete) with an
+    /// empty completed list; partial and degraded jobs carry their exact
+    /// completed set. Fault rosters are sorted by `(vid, attempt)`, so the
+    /// report is deterministic regardless of worker interleaving.
+    fn result(&self) -> MiningResult {
+        let snap = &self.snap.lock().expect("job snapshot lock poisoned").ckpt;
+        let mut r = MiningResult {
+            counts: snap.counts.clone(),
+            work: snap.work,
+            faults: snap.faults.clone(),
+            quarantined: snap.quarantined.clone(),
+            ..MiningResult::default()
+        };
+        if !r.quarantined.is_empty() {
+            r.status = RunStatus::Degraded;
+        }
+        if let Some(stop) = self.stop_status() {
+            r.status = r.status.max(stop);
+        }
+        if r.status != RunStatus::Complete {
+            r.completed = snap.completed.to_vids();
+        }
+        r.faults.sort_unstable_by_key(|f| (f.vid, f.attempt));
+        r.quarantined.sort_unstable_by_key(|f| (f.vid, f.attempt));
+        r
+    }
+}
+
+/// One mining job as preemptible, `Arc`-shareable state: the job plus the
+/// prepared graph it owns.
 ///
 /// Construction ([`new`](Self::new) / [`resume`](Self::resume)) does the
 /// one-time preparation — orientation for k-clique plans, hub-bitmap and
-/// block-summary indexes — exactly as [`prepare`](crate::executor::prepare)
-/// would, but owned, so the core has no borrow tying it to a caller's
+/// block-summary indexes — with [`prepare`](crate::executor::prepare)'s
+/// rules, but owned, so the core has no borrow tying it to a caller's
 /// stack. Any number of worker threads then advance the job with
 /// [`run_stint`](Self::run_stint); progress accumulates in an in-memory
 /// [`Checkpoint`] that [`snapshot`](Self::snapshot) can serialize at any
 /// task boundary.
 pub struct JobCore {
-    /// The input graph as supplied (fingerprinted by the snapshot).
+    /// The input graph as supplied (fingerprinted by the snapshot; resume
+    /// re-runs the same preparation).
     input: Arc<CsrGraph>,
-    /// The degree-oriented DAG when the plan requires one; mining runs on
-    /// this, while checkpoints fingerprint `input` (resume re-runs the
-    /// same preparation).
-    oriented: Option<Arc<CsrGraph>>,
-    hubs: Option<Arc<HubBitmaps>>,
-    blocks: Option<Arc<BlockSummaries>>,
+    prepared: PreparedGraph<'static>,
     plan: Arc<ExecutionPlan>,
-    cfg: EngineConfig,
-    sched: Mutex<Sched>,
-    /// Accumulated progress: the same snapshot type the durable layer
-    /// writes, kept consistent under one lock per finished task.
-    snap: Mutex<Checkpoint>,
-    /// Preemption request; observed at start-vertex boundaries.
-    pause: AtomicBool,
-    cancel: CancelToken,
-    /// Set-op iterations published at task boundaries, for the iteration
-    /// budget (same one-task slack as the thread-pool driver's monitor).
-    spent_iters: AtomicU64,
-    /// Terminal stop, once a stop condition has fired (max severity wins).
-    stopped: Mutex<Option<RunStatus>>,
-    /// Stints currently inside `run_stint`.
-    active: AtomicUsize,
-    /// Stint/task span tracing, off (`None`) by default so untraced jobs
-    /// pay one null check per stint.
-    trace: Option<JobTrace>,
-}
-
-/// Estimated resident bytes of one CSR graph (offsets plus adjacency).
-fn csr_bytes(g: &CsrGraph) -> u64 {
-    (g.num_vertices() as u64 + 1) * 8 + g.num_directed_edges() as u64 * 4
+    state: JobState,
 }
 
 impl JobCore {
@@ -205,11 +643,8 @@ impl JobCore {
         JobCore::build(graph, plan, cfg, snap)
     }
 
-    /// A job continuing from `snapshot`: completed start vertices are
-    /// skipped with their contribution seeded from the snapshot, and
-    /// previously quarantined vertices are re-attempted with their fault
-    /// history carried forward — the same semantics as
-    /// [`Recovery::resume`](crate::parallel::Recovery).
+    /// A job continuing from `snapshot`, with the semantics of
+    /// [`MineOptions::resume`].
     ///
     /// # Errors
     ///
@@ -222,8 +657,7 @@ impl JobCore {
         snapshot: Checkpoint,
     ) -> Result<JobCore, CheckpointError> {
         snapshot.validate(&graph, &plan, &cfg)?;
-        let snap = Checkpoint { quarantined: Vec::new(), ..snapshot };
-        Ok(JobCore::build(graph, plan, cfg, snap))
+        Ok(JobCore::build(graph, plan, cfg, resumed(snapshot)))
     }
 
     fn build(
@@ -232,72 +666,39 @@ impl JobCore {
         cfg: EngineConfig,
         snap: Checkpoint,
     ) -> JobCore {
-        let oriented = match prepare_graph(&input, &plan) {
-            Cow::Owned(g) => Some(Arc::new(g)),
-            Cow::Borrowed(_) => None,
-        };
-        let mining = oriented.as_deref().unwrap_or(&input);
-        let hubs = if cfg.hub_bitmap_active() {
-            let idx = HubBitmaps::build(mining, cfg.hub_degree_threshold, cfg.hub_memory_budget);
-            (!idx.is_empty()).then(|| Arc::new(idx))
-        } else {
-            None
-        };
-        let blocks = if cfg.simd_active() {
-            let bl = BlockSummaries::build(mining);
-            (!bl.is_empty()).then(|| Arc::new(bl))
-        } else {
-            None
-        };
-        let mut pending: Vec<u32> =
-            (0..mining.num_vertices() as u32).filter(|&v| !snap.completed.contains(v)).collect();
-        if cfg.degree_sched {
-            pending.sort_by_key(|&v| std::cmp::Reverse(mining.degree(VertexId(v))));
-        }
-        let cursor = Arc::new(TaskCursor::new(pending.len(), cfg.chunk_size));
-        JobCore {
-            input,
-            oriented,
-            hubs,
-            blocks,
-            plan,
-            cfg,
-            sched: Mutex::new(Sched { pending: Arc::new(pending), cursor, leftover: Vec::new() }),
-            snap: Mutex::new(snap),
-            pause: AtomicBool::new(false),
-            cancel: CancelToken::new(),
-            spent_iters: AtomicU64::new(0),
-            stopped: Mutex::new(None),
-            active: AtomicUsize::new(0),
-            trace: None,
-        }
+        let prepared = prepare_shared(&input, &plan, &cfg);
+        let state = JobState::new(&prepared, cfg, snap);
+        JobCore { input, prepared, plan, state }
+    }
+
+    /// Makes `token` this job's cancellation token (and so its failpoint
+    /// scope), before the core is shared. Instrumented builds only: fault
+    /// injection tests use it to arm sites in a supervised job's scope.
+    #[cfg(any(test, feature = "failpoints"))]
+    pub fn with_cancel(mut self, token: CancelToken) -> JobCore {
+        self.state.monitor.set_cancel_token(token);
+        self
     }
 
     /// Turns on stint (and optionally per-task) span tracing on `clock`,
     /// before the core is shared. Pass the serve session's clock so this
     /// job's spans land on the same timeline as the supervisor's.
     pub fn set_trace(&mut self, clock: TraceClock, span_capacity: usize, task_spans: bool) {
-        self.trace =
-            Some(JobTrace { clock, ring: Mutex::new(SpanRing::new(span_capacity)), task_spans });
-    }
-
-    /// The trace clock this job records on, when tracing is enabled.
-    pub fn trace_clock(&self) -> Option<TraceClock> {
-        self.trace.as_ref().map(|t| t.clock)
+        self.state.trace = Some(JobTrace { clock, ring: Mutex::new(SpanRing::new(span_capacity)) });
+        if task_spans {
+            self.state.telemetry.trace = Some(clock);
+            self.state.telemetry.span_capacity = Some(span_capacity);
+        }
     }
 
     /// Drains the collected spans: `(spans, dropped)`. Both reset, so the
     /// supervisor can harvest incrementally (per settle) or once at exit.
     pub fn take_spans(&self) -> (Vec<Span>, u64) {
-        let Some(t) = &self.trace else { return (Vec::new(), 0) };
+        let Some(t) = &self.state.trace else { return (Vec::new(), 0) };
         let mut ring = t.ring.lock().unwrap_or_else(|e| e.into_inner());
         let spans = ring.drain();
         let dropped = std::mem::take(&mut ring.dropped);
         (spans, dropped)
-    }
-
-    fn mining_graph(&self) -> &CsrGraph {
-        self.oriented.as_deref().unwrap_or(&self.input)
     }
 
     /// The input graph this job mines (as supplied, before orientation).
@@ -312,49 +713,39 @@ impl JobCore {
 
     /// The engine configuration this job runs under.
     pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// Estimated resident bytes of this job's graph data: the input CSR
-    /// plus the oriented copy when the plan required one. Auxiliary
-    /// indexes are bounded by [`EngineConfig::hub_memory_budget`] and the
-    /// block-summary overhead (a few bits per adjacency block) and are not
-    /// itemized here.
-    pub fn memory_bytes(&self) -> u64 {
-        csr_bytes(&self.input) + self.oriented.as_deref().map_or(0, csr_bytes)
+        &self.state.cfg
     }
 
     /// A clone of this job's cancellation token; cancelling it stops the
     /// job terminally at the next task boundary.
     pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
+        self.state.monitor.cancel_token().clone()
     }
 
     /// Requests preemption: every active stint yields at its next task
     /// boundary, returning unrun claims to the scheduler. Idempotent.
     pub fn pause(&self) {
-        self.pause.store(true, Ordering::Release);
+        self.state.pause.store(true, Ordering::Release);
     }
 
     /// Whether a pause is currently requested.
     pub fn is_paused(&self) -> bool {
-        self.pause.load(Ordering::Acquire)
+        self.state.pause.load(Ordering::Acquire)
     }
 
     /// Stints currently executing inside [`run_stint`](Self::run_stint).
     pub fn active_stints(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        self.state.active.load(Ordering::Acquire)
     }
 
     /// The terminal stop status, once a stop condition has fired.
     pub fn stop_status(&self) -> Option<RunStatus> {
-        *self.stopped.lock().expect("job stop lock poisoned")
+        self.state.stop_status()
     }
 
     /// Pending start vertices not yet claimed by any stint.
     pub fn remaining_tasks(&self) -> usize {
-        let s = self.sched.lock().expect("job sched lock poisoned");
-        s.cursor.remaining() + s.leftover.len()
+        self.state.remaining()
     }
 
     /// Whether every start vertex has been run (completed or quarantined).
@@ -364,7 +755,7 @@ impl JobCore {
 
     /// Completed start vertices so far.
     pub fn completed_tasks(&self) -> usize {
-        self.snap.lock().expect("job snapshot lock poisoned").completed.len()
+        self.state.snap.lock().expect("job snapshot lock poisoned").ckpt.completed.len()
     }
 
     /// Clears a pause and rebuilds the pending queue (returned leftovers
@@ -372,12 +763,12 @@ impl JobCore {
     /// without touching anything — while stints are still active; the
     /// caller retries after they yield.
     pub fn resume_paused(&self) -> bool {
-        if self.active.load(Ordering::Acquire) != 0 {
+        if self.active_stints() != 0 {
             return false;
         }
-        let mut s = self.sched.lock().expect("job sched lock poisoned");
+        let mut s = self.state.sched.lock().expect("job sched lock poisoned");
         self.rebuild_queue(&mut s, &[]);
-        self.pause.store(false, Ordering::Release);
+        self.state.pause.store(false, Ordering::Release);
         true
     }
 
@@ -387,17 +778,17 @@ impl JobCore {
     /// this between backoff-spaced attempts of a degraded job. No-op
     /// (returning 0) while stints are active.
     pub fn reattempt_quarantined(&self) -> usize {
-        if self.active.load(Ordering::Acquire) != 0 {
+        if self.active_stints() != 0 {
             return 0;
         }
         let vids: Vec<u32> = {
-            let mut snap = self.snap.lock().expect("job snapshot lock poisoned");
-            std::mem::take(&mut snap.quarantined).into_iter().map(|f| f.vid).collect()
+            let mut snap = self.state.snap.lock().expect("job snapshot lock poisoned");
+            std::mem::take(&mut snap.ckpt.quarantined).into_iter().map(|f| f.vid).collect()
         };
         if vids.is_empty() {
             return 0;
         }
-        let mut s = self.sched.lock().expect("job sched lock poisoned");
+        let mut s = self.state.sched.lock().expect("job sched lock poisoned");
         self.rebuild_queue(&mut s, &vids);
         vids.len()
     }
@@ -410,43 +801,8 @@ impl JobCore {
         let mut pending: Vec<u32> = std::mem::take(&mut s.leftover);
         pending.extend_from_slice(&s.pending[claimed..]);
         pending.extend_from_slice(extra);
-        s.cursor = Arc::new(TaskCursor::new(pending.len(), self.cfg.chunk_size));
+        s.cursor = Arc::new(TaskCursor::new(pending.len(), self.state.cfg.chunk_size));
         s.pending = Arc::new(pending);
-    }
-
-    /// Returns claimed-but-unrun vids to the scheduler (pause or stop hit
-    /// mid-chunk), so no task is stranded.
-    fn stash(&self, vids: &[u32]) {
-        if !vids.is_empty() {
-            self.sched.lock().expect("job sched lock poisoned").leftover.extend_from_slice(vids);
-        }
-    }
-
-    /// The stop condition in effect, if any (severity order matches the
-    /// thread-pool monitor: cancellation over deadline over budget).
-    fn should_stop(&self) -> Option<RunStatus> {
-        if self.cancel.is_cancelled() {
-            return Some(RunStatus::Cancelled);
-        }
-        if self.cfg.budget.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(RunStatus::DeadlineExceeded);
-        }
-        if self
-            .cfg
-            .budget
-            .max_setop_iterations
-            .is_some_and(|m| self.spent_iters.load(Ordering::Relaxed) >= m)
-        {
-            return Some(RunStatus::BudgetExhausted);
-        }
-        None
-    }
-
-    fn record_stop(&self, status: RunStatus) -> RunStatus {
-        let mut s = self.stopped.lock().expect("job stop lock poisoned");
-        let merged = s.map_or(status, |prev| prev.max(status));
-        *s = Some(merged);
-        merged
     }
 
     /// Runs up to `max_tasks` start-vertex tasks (rounded up to the chunk
@@ -463,121 +819,23 @@ impl JobCore {
     /// carry `lane` as their Chrome `tid`, so a supervisor can give each
     /// worker thread its own timeline row.
     pub fn run_stint_as(&self, max_tasks: u64, lane: u32) -> Stint {
-        let stint_start = self.trace.as_ref().map(|t| t.clock.now_us());
-        let mut spans: Vec<Span> = Vec::new();
-        let stint = self.stint_body(max_tasks, lane, &mut spans);
-        if let (Some(t), Some(start)) = (&self.trace, stint_start) {
-            let (name, tasks) = match stint {
-                Stint::Ran { tasks, .. } => ("stint", tasks),
-                Stint::Paused { tasks } => ("stint-paused", tasks),
-                Stint::Stopped(_) => ("stint-stopped", 0),
-            };
-            spans.push(Span::close(&t.clock, name, "job", start, lane, Some(("tasks", tasks))));
-            let mut ring = t.ring.lock().unwrap_or_else(|e| e.into_inner());
-            for s in spans {
-                ring.push(s);
-            }
-        }
-        stint
-    }
-
-    /// The stint loop proper. Task spans (when enabled) are buffered in
-    /// `spans` and flushed by the caller, so the per-task path takes no
-    /// lock beyond the snapshot update it already does.
-    fn stint_body(&self, max_tasks: u64, lane: u32, spans: &mut Vec<Span>) -> Stint {
-        if let Some(status) = self.stop_status() {
-            return Stint::Stopped(status);
-        }
-        if self.pause.load(Ordering::Acquire) {
-            return Stint::Paused { tasks: 0 };
-        }
-        let (pending, cursor) = {
-            let s = self.sched.lock().expect("job sched lock poisoned");
-            (Arc::clone(&s.pending), Arc::clone(&s.cursor))
-        };
-        let _active = ActiveGuard::enter(&self.active);
-        let mut ex = Executor::with_shared(
-            self.mining_graph(),
-            &self.plan,
-            &self.cfg,
-            self.hubs.clone(),
-            self.blocks.clone(),
-        );
-        let track_iters = self.cfg.budget.max_setop_iterations.is_some();
-        let task_trace = self.trace.as_ref().filter(|t| t.task_spans);
-        let mut published = ex.setop_iterations_so_far();
-        let mut ran = 0u64;
-        while ran < max_tasks {
-            let Some(range) = cursor.claim() else { break };
-            for idx in range.clone() {
-                if self.pause.load(Ordering::Acquire) {
-                    self.stash(&pending[idx..range.end]);
-                    return Stint::Paused { tasks: ran };
-                }
-                if let Some(status) = self.should_stop() {
-                    self.stash(&pending[idx..range.end]);
-                    return Stint::Stopped(self.record_stop(status));
-                }
-                let v = pending[idx];
-                let task_start = task_trace.map(|t| t.clock.now_us());
-                let before = TaskDelta::of(&ex);
-                let ok = ex.run_vertex_isolated(VertexId(v));
-                before.apply(self, &ex, v, ok);
-                if let (Some(t), Some(start)) = (task_trace, task_start) {
-                    spans.push(Span::close(
-                        &t.clock,
-                        "start-vertex-task",
-                        "engine",
-                        start,
-                        lane,
-                        Some(("vid", v as u64)),
-                    ));
-                }
-                if track_iters {
-                    let spent = ex.setop_iterations_so_far();
-                    self.spent_iters.fetch_add(spent - published, Ordering::Relaxed);
-                    published = spent;
-                }
-                ran += 1;
-            }
-        }
-        Stint::Ran { tasks: ran, drained: self.is_drained() }
+        self.state.stint(&self.prepared, &self.plan, max_tasks, lane)
     }
 
     /// A serializable snapshot of the job's progress, valid at any task
     /// boundary. Feeding it to [`resume`](Self::resume) — in this process
     /// or after a restart — continues the job bit-identically.
     pub fn snapshot(&self) -> Checkpoint {
-        self.snap.lock().expect("job snapshot lock poisoned").clone()
+        self.state.snap.lock().expect("job snapshot lock poisoned").ckpt.clone()
     }
 
-    /// The job's result over everything run so far, in the same shape the
-    /// thread-pool driver reports: a drained, quarantine-free job is
-    /// [`Complete`](RunStatus::Complete) with counts and [`WorkCounters`]
-    /// bit-identical to an uninterrupted [`mine`](crate::mine); partial
-    /// and degraded jobs carry their exact completed set and sorted fault
-    /// rosters.
+    /// The job's result over everything run so far, in the shape [`mine`]
+    /// reports: a drained, quarantine-free job is
+    /// [`Complete`](RunStatus::Complete) with counts and work counters
+    /// bit-identical to an uninterrupted [`mine`]; partial and degraded
+    /// jobs carry their exact completed set and sorted fault rosters.
     pub fn result(&self) -> MiningResult {
-        let snap = self.snap.lock().expect("job snapshot lock poisoned");
-        let mut r = MiningResult::empty(self.plan.patterns.len());
-        r.counts = snap.counts.clone();
-        r.work = snap.work;
-        r.faults = snap.faults.clone();
-        r.quarantined = snap.quarantined.clone();
-        if !r.quarantined.is_empty() {
-            r.status = RunStatus::Degraded;
-        }
-        if let Some(stop) = self.stop_status() {
-            r.status = r.status.max(stop);
-        }
-        if r.status == RunStatus::Complete {
-            r.completed = Vec::new();
-        } else {
-            r.completed = snap.completed.to_vids();
-            r.faults.sort_unstable_by_key(|f| (f.vid, f.attempt));
-            r.quarantined.sort_unstable_by_key(|f| (f.vid, f.attempt));
-        }
-        r
+        self.state.result()
     }
 }
 
@@ -598,52 +856,14 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Pre-task executor counters; diffed after the task to publish exactly
-/// one task's contribution into the job snapshot.
-struct TaskDelta {
-    counts: Vec<u64>,
-    work: WorkCounters,
-    faults: usize,
-    quarantined: usize,
-}
-
-impl TaskDelta {
-    fn of(ex: &Executor<'_>) -> TaskDelta {
-        TaskDelta {
-            counts: ex.counts_so_far().to_vec(),
-            work: ex.work_so_far(),
-            faults: ex.faults_so_far().len(),
-            quarantined: ex.quarantined_so_far().len(),
-        }
-    }
-
-    fn apply(self, core: &JobCore, ex: &Executor<'_>, vid: u32, completed: bool) {
-        let mut snap = core.snap.lock().expect("job snapshot lock poisoned");
-        if completed {
-            snap.completed.insert(vid);
-        }
-        for (slot, (after, before)) in
-            snap.counts.iter_mut().zip(ex.counts_so_far().iter().zip(&self.counts))
-        {
-            *slot += after - before;
-        }
-        snap.work += ex.work_so_far() - self.work;
-        snap.faults.extend_from_slice(&ex.faults_so_far()[self.faults..]);
-        if let Some(q) = ex.quarantined_so_far()[self.quarantined..].first() {
-            snap.quarantined.push(q.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::control::Budget;
-    use crate::executor::{prepare_graph, Executor};
-    use crate::parallel::mine;
+    use crate::executor::{mine_single_threaded, prepare_graph, Executor};
     use fm_graph::generators;
     use fm_pattern::Pattern;
-    use fm_plan::{compile, CompileOptions};
+    use fm_plan::{compile, compile_multi, CompileOptions};
 
     fn job(seed: u64, cfg: EngineConfig) -> (JobCore, MiningResult) {
         let g = Arc::new(generators::powerlaw_cluster(160, 4, 0.5, seed));
@@ -810,34 +1030,39 @@ mod tests {
     }
 
     /// ISSUE 10 tentpole: traced stints record stint and per-task spans
-    /// on the caller's lane without perturbing counts or work.
+    /// on the caller's lane without perturbing counts or work. A stint
+    /// size off the chunk grain (7 with chunk 4) runs on to the chunk
+    /// end, and the per-task span buffer still holds every task.
     #[test]
     fn traced_stints_emit_spans_and_stay_bit_identical() {
         let (plain, reference) = job(53, EngineConfig::default());
         drain(&plain, 16);
-        let g = Arc::clone(plain.input_graph());
-        let plan = Arc::clone(plain.plan());
-        let mut traced = JobCore::new(g, plan, EngineConfig::default());
-        traced.set_trace(TraceClock::start(), 4096, true);
-        loop {
-            match traced.run_stint_as(16, 7) {
-                Stint::Ran { drained: true, .. } => break,
-                Stint::Ran { .. } => continue,
-                other => panic!("unexpected stint outcome {other:?}"),
+        let off_grain = EngineConfig { chunk_size: 4, ..Default::default() };
+        for (stint, cfg) in [(16, EngineConfig::default()), (7, off_grain)] {
+            let g = Arc::clone(plain.input_graph());
+            let plan = Arc::clone(plain.plan());
+            let mut traced = JobCore::new(g, plan, cfg);
+            traced.set_trace(TraceClock::start(), 4096, true);
+            loop {
+                match traced.run_stint_as(stint, 7) {
+                    Stint::Ran { drained: true, .. } => break,
+                    Stint::Ran { .. } => continue,
+                    other => panic!("unexpected stint outcome {other:?}"),
+                }
             }
+            let r = traced.result();
+            assert_eq!(r.counts, reference.counts);
+            assert_eq!(r.work, reference.work);
+            let (spans, dropped) = traced.take_spans();
+            assert_eq!(dropped, 0);
+            assert!(spans.iter().any(|s| s.name == "stint" && s.cat == "job" && s.tid == 7));
+            assert!(spans.iter().any(|s| s.name == "start-vertex-task" && s.tid == 7));
+            // Per-task spans count every completed task exactly once.
+            let tasks = spans.iter().filter(|s| s.name == "start-vertex-task").count();
+            assert_eq!(tasks, traced.completed_tasks());
+            // The ring is drained, not cloned.
+            assert!(traced.take_spans().0.is_empty());
         }
-        let r = traced.result();
-        assert_eq!(r.counts, reference.counts);
-        assert_eq!(r.work, reference.work);
-        let (spans, dropped) = traced.take_spans();
-        assert_eq!(dropped, 0);
-        assert!(spans.iter().any(|s| s.name == "stint" && s.cat == "job" && s.tid == 7));
-        assert!(spans.iter().any(|s| s.name == "start-vertex-task" && s.tid == 7));
-        // Per-task spans count every completed task exactly once.
-        let tasks = spans.iter().filter(|s| s.name == "start-vertex-task").count();
-        assert_eq!(tasks, traced.completed_tasks());
-        // The ring is drained, not cloned.
-        assert!(traced.take_spans().0.is_empty());
     }
 
     /// ISSUE 10 satellite: two jobs sharing one `TraceClock` origin merge
@@ -880,7 +1105,183 @@ mod tests {
         assert!(merged.iter().any(|s| s.tid == 1));
     }
 
+    #[test]
+    fn parallel_counts_match_sequential() {
+        let g = generators::powerlaw_cluster(200, 4, 0.5, 13);
+        for pattern in [Pattern::triangle(), Pattern::cycle(4), Pattern::k_clique(4)] {
+            let plan = compile(&pattern, CompileOptions::default());
+            let seq = mine_single_threaded(&g, &plan, &EngineConfig::default());
+            for threads in [2, 4, 7] {
+                let par = mine(&g, &plan, &EngineConfig::with_threads(threads));
+                assert_eq!(par.counts, seq.counts, "{pattern} with {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_work_counters_aggregate() {
+        let g = generators::erdos_renyi(100, 0.15, 4);
+        let plan = compile(&Pattern::triangle(), CompileOptions::default());
+        let seq = mine_single_threaded(&g, &plan, &EngineConfig::default());
+        let par = mine(&g, &plan, &EngineConfig::with_threads(3));
+        // Work is partition-independent for fixed plans.
+        assert_eq!(par.work.extensions, seq.work.extensions);
+        assert_eq!(par.work.setop_iterations, seq.work.setop_iterations);
+    }
+
+    #[test]
+    fn degree_scheduling_preserves_counts_and_work() {
+        let g = generators::powerlaw_cluster(180, 4, 0.5, 3);
+        let plan = compile(&Pattern::cycle(4), CompileOptions::default());
+        let on = mine(&g, &plan, &EngineConfig { threads: 4, ..Default::default() });
+        let off = mine(
+            &g,
+            &plan,
+            &EngineConfig { threads: 4, degree_sched: false, ..Default::default() },
+        );
+        assert_eq!(on.counts, off.counts);
+        assert_eq!(on.work.setop_iterations, off.work.setop_iterations);
+        assert_eq!(on.work.extensions, off.work.extensions);
+    }
+
+    #[test]
+    fn tiny_chunks_are_correct() {
+        let g = generators::erdos_renyi(60, 0.2, 8);
+        let plan = compile_multi(
+            &[Pattern::diamond(), Pattern::tailed_triangle()],
+            CompileOptions::default(),
+        );
+        let seq = mine_single_threaded(&g, &plan, &EngineConfig::default());
+        let par =
+            mine(&g, &plan, &EngineConfig { threads: 5, chunk_size: 1, ..Default::default() });
+        assert_eq!(par.counts, seq.counts);
+    }
+
+    #[test]
+    fn more_threads_than_vertices_is_fine() {
+        let g = generators::complete(4);
+        let plan = compile(&Pattern::triangle(), CompileOptions::default());
+        let par = mine(&g, &plan, &EngineConfig::with_threads(16));
+        assert_eq!(par.counts, vec![4]);
+    }
+
+    #[test]
+    fn complete_runs_are_tagged_complete_with_empty_completed_list() {
+        let g = generators::erdos_renyi(50, 0.2, 1);
+        let plan = compile(&Pattern::triangle(), CompileOptions::default());
+        for threads in [1, 4] {
+            let r = mine(&g, &plan, &EngineConfig::with_threads(threads));
+            assert_eq!(r.status, RunStatus::Complete);
+            assert!(r.completed.is_empty());
+            assert!(r.faults.is_empty());
+        }
+    }
+
+    #[test]
+    fn pre_cancelled_token_stops_before_any_work() {
+        let g = generators::erdos_renyi(80, 0.2, 3);
+        let plan = compile(&Pattern::triangle(), CompileOptions::default());
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 4] {
+            let opts = MineOptions { cancel: Some(token.clone()), ..Default::default() };
+            let r = mine_with(&g, &plan, &EngineConfig::with_threads(threads), &opts).unwrap();
+            assert_eq!(r.status, RunStatus::Cancelled);
+            assert_eq!(r.counts, vec![0]);
+            assert!(r.completed.is_empty());
+            assert_eq!(r.work.extensions, 0);
+        }
+    }
+
+    #[test]
+    fn zero_deadline_yields_deadline_exceeded_and_no_wrong_total() {
+        let g = generators::powerlaw_cluster(120, 4, 0.5, 5);
+        let plan = compile(&Pattern::cycle(4), CompileOptions::default());
+        for threads in [1, 4, 7] {
+            let cfg = EngineConfig {
+                threads,
+                budget: Budget::with_timeout(std::time::Duration::ZERO),
+                ..Default::default()
+            };
+            let r = mine(&g, &plan, &cfg);
+            assert_eq!(r.status, RunStatus::DeadlineExceeded, "{threads} threads");
+            // A zero deadline fires before the first task on every worker.
+            assert_eq!(r.counts, vec![0]);
+            assert!(r.completed.is_empty());
+        }
+    }
+
+    #[test]
+    fn budget_yields_exact_partial_counts_over_completed_vids() {
+        let g = generators::powerlaw_cluster(150, 4, 0.5, 17);
+        let plan = compile(&Pattern::cycle(4), CompileOptions::default());
+        let full = mine(&g, &plan, &EngineConfig::default());
+        for threads in [1, 4] {
+            let cfg = EngineConfig {
+                threads,
+                budget: Budget::with_max_setop_iterations(full.work.setop_iterations / 3),
+                ..Default::default()
+            };
+            let r = mine(&g, &plan, &cfg);
+            assert_eq!(r.status, RunStatus::BudgetExhausted, "{threads} threads");
+            assert!(r.completed.len() < g.num_vertices());
+            // Exactness: a sequential run restricted to the reported
+            // completed set reproduces the partial counts bit-for-bit.
+            let prepared = prepare_graph(&g, &plan);
+            let mut ex = Executor::new(&prepared, &plan, &EngineConfig::default());
+            for &v in &r.completed {
+                ex.run_vertex(VertexId(v));
+            }
+            assert_eq!(r.counts, ex.finish().counts, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn observed_run_is_bit_identical_and_carries_depth_shard() {
+        let g = generators::powerlaw_cluster(150, 4, 0.5, 11);
+        let plan = compile(&Pattern::k_clique(4), CompileOptions::default());
+        let telemetry = TelemetryOptions { metrics: true, ..Default::default() };
+        for threads in [1, 4] {
+            let cfg = EngineConfig::with_threads(threads);
+            let prepared = prepare(&g, &plan, &cfg);
+            let plain = mine_prepared(&prepared, &plan, &cfg);
+            let observed = mine_prepared_observed(&prepared, &plan, &cfg, &telemetry);
+            // Telemetry must not perturb results: counts AND work counters
+            // are bit-identical, the only difference is the shard.
+            assert_eq!(observed.counts, plain.counts, "{threads} threads");
+            assert_eq!(observed.work, plain.work, "{threads} threads");
+            assert!(plain.telemetry.is_none());
+            let shard = observed.telemetry.as_deref().expect("metrics shard");
+            // Every set-op iteration is charged to exactly one depth.
+            let charged: u64 = shard.depth_setop_iterations.iter().sum();
+            assert_eq!(charged, observed.work.setop_iterations, "{threads} threads");
+            let invocations: u64 = shard.depth_setop_invocations.iter().sum();
+            assert_eq!(invocations, observed.work.setop_invocations, "{threads} threads");
+            assert!(shard.task_micros.count > 0);
+        }
+    }
+
+    #[test]
+    fn traced_run_emits_engine_spans() {
+        let g = generators::erdos_renyi(60, 0.2, 5);
+        let plan = compile(&Pattern::triangle(), CompileOptions::default());
+        let telemetry = TelemetryOptions {
+            trace: Some(fm_telemetry::TraceClock::start()),
+            ..Default::default()
+        };
+        let opts = MineOptions { telemetry, ..Default::default() };
+        let r = mine_with(&g, &plan, &EngineConfig::with_threads(2), &opts).unwrap();
+        let shard = r.telemetry.as_deref().expect("trace shard");
+        let names: Vec<&str> = shard.spans.iter().map(|s| s.name).collect();
+        assert!(names.contains(&"prepare"), "{names:?}");
+        assert!(names.contains(&"mine"), "{names:?}");
+        assert!(names.contains(&"start-vertex-task"), "{names:?}");
+        // Driver spans carry tid 0; worker task spans tids >= 1.
+        assert!(shard.spans.iter().any(|s| s.name == "start-vertex-task" && s.tid >= 1));
+        // Tracing alone leaves metrics empty.
+        assert!(shard.depth_setop_iterations.is_empty());
+    }
+
     // The quarantine-reattempt-and-heal path needs a real injected fault;
-    // it lives in tests/failpoints.rs, whose process-global registry is
-    // serialized against the other fault-injection tests.
+    // it lives in tests/failpoints.rs.
 }

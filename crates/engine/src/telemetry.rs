@@ -49,7 +49,7 @@ impl ProgressOptions {
 }
 
 /// Observability options for one mining run, threaded through
-/// [`mine_observed`](crate::mine_observed) /
+/// [`MineOptions::telemetry`](crate::MineOptions::telemetry) /
 /// [`mine_prepared_observed`](crate::mine_prepared_observed). The default
 /// disables everything.
 #[derive(Clone, Debug, Default)]
@@ -75,13 +75,15 @@ impl TelemetryOptions {
         self.metrics || self.trace.is_some() || self.progress.is_some()
     }
 
-    /// Builds the per-worker collector for worker `tid`, or `None` when no
-    /// per-worker collection (metrics or tracing) is on.
-    pub(crate) fn collector(&self, tid: u32) -> Option<Box<Collector>> {
+    /// Builds the collector for one worker stint on trace lane `tid` that
+    /// runs at most `max_tasks` tasks (which bounds its span ring), or
+    /// `None` when no per-worker collection (metrics or tracing) is on.
+    pub(crate) fn collector(&self, tid: u32, max_tasks: u64) -> Option<Box<Collector>> {
         if !self.metrics && self.trace.is_none() {
             return None;
         }
         let cap = self.span_capacity.unwrap_or(fm_telemetry::trace::DEFAULT_SPAN_CAPACITY);
+        let cap = cap.min(usize::try_from(max_tasks).unwrap_or(usize::MAX));
         Some(Box::new(Collector {
             shard: TelemetryShard::new(),
             ring: SpanRing::new(if self.trace.is_some() { cap } else { 0 }),
@@ -172,14 +174,14 @@ mod tests {
     fn default_options_disable_everything() {
         let opts = TelemetryOptions::default();
         assert!(!opts.enabled());
-        assert!(opts.collector(0).is_none());
+        assert!(opts.collector(0, u64::MAX).is_none());
     }
 
     #[test]
     fn metrics_only_collector_skips_span_buffer() {
         let opts = TelemetryOptions { metrics: true, ..Default::default() };
         assert!(opts.enabled());
-        let mut c = opts.collector(1).expect("metrics request a collector");
+        let mut c = opts.collector(1, u64::MAX).expect("metrics request a collector");
         c.record_task(7, None, Duration::from_micros(300));
         let shard = c.into_shard();
         assert_eq!(shard.task_micros.count, 1);
@@ -189,7 +191,7 @@ mod tests {
     #[test]
     fn charge_setops_buckets_the_delta_by_depth() {
         let opts = TelemetryOptions { metrics: true, ..Default::default() };
-        let mut c = opts.collector(0).unwrap();
+        let mut c = opts.collector(0, u64::MAX).unwrap();
         let before = WorkCounters::default();
         let after = WorkCounters {
             setop_iterations: 10,
@@ -217,7 +219,7 @@ mod tests {
     fn tracing_collector_records_task_spans() {
         let clock = TraceClock::start();
         let opts = TelemetryOptions { trace: Some(clock), ..Default::default() };
-        let mut c = opts.collector(3).unwrap();
+        let mut c = opts.collector(3, u64::MAX).unwrap();
         c.record_task(9, Some(clock.now_us()), Duration::from_micros(5));
         let shard = c.into_shard();
         assert_eq!(shard.spans.len(), 1);

@@ -1,23 +1,31 @@
 //! Fault-injection suite: every degradation path of the job-control layer
 //! is exercised by deterministically firing panics at named executor
 //! sites. Compiled only with `--features failpoints` (see CI's dedicated
-//! job); the default test run skips this binary entirely.
+//! job); the default test run skips this binary entirely. Each test arms
+//! its sites in the scope of its own run's `CancelToken`, so the tests run
+//! in parallel without seeing each other's faults.
 #![cfg(feature = "failpoints")]
 
 use fm_engine::executor::prepare_graph;
 use fm_engine::failpoint::{self, Trigger};
-use fm_engine::{mine, EngineConfig, Executor, JobCore, MiningResult, RunStatus, Stint};
+use fm_engine::{
+    mine, mine_with, CancelToken, EngineConfig, Executor, JobCore, MineOptions, MiningResult,
+    RunStatus, Stint,
+};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_pattern::Pattern;
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// The failpoint registry is process-global, so tests that arm executor
-/// sites serialize through this lock to avoid poisoning each other's runs.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// [`mine`] as the run that carries `token`, and so sees its armed sites.
+fn mine_in(
+    token: &CancelToken,
+    g: &CsrGraph,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+) -> MiningResult {
+    let opts = MineOptions { cancel: Some(token.clone()), ..Default::default() };
+    mine_with(g, plan, cfg, &opts).expect("no resume snapshot to reject")
 }
 
 /// Sequential reference counts over every start vertex except `skip`.
@@ -46,18 +54,19 @@ fn assert_degraded_exactly(r: &MiningResult, poisoned: u32, expected_counts: &[u
 
 #[test]
 fn poisoned_start_vertex_degrades_with_exact_remaining_counts() {
-    let _l = lock();
+    let token = CancelToken::new();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 7);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     let poisoned = 3u32;
     for threads in [1, 4, 7] {
         let cfg = EngineConfig { threads, ..Default::default() };
         let _fp = failpoint::guard(
+            &token,
             "start_vertex",
             Trigger::OnContext(poisoned as u64),
             "injected task fault",
         );
-        let r = mine(&g, &plan, &cfg);
+        let r = mine_in(&token, &g, &plan, &cfg);
         assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
         assert!(r.faults[0].payload.contains("injected task fault"));
         // Everything except the poisoned root completed.
@@ -67,7 +76,7 @@ fn poisoned_start_vertex_degrades_with_exact_remaining_counts() {
 
 #[test]
 fn mid_subtree_faults_roll_back_partial_counts() {
-    let _l = lock();
+    let token = CancelToken::new();
     let g = generators::powerlaw_cluster(120, 4, 0.5, 11);
     // Sites deeper in the DFS fire after the task has already counted
     // some matches; isolation must roll those partial counts back.
@@ -75,21 +84,23 @@ fn mid_subtree_faults_roll_back_partial_counts() {
         let plan = compile(&Pattern::cycle(4), CompileOptions::default());
         let poisoned = 5u32;
         let cfg = EngineConfig { threads: 4, ..Default::default() };
-        let _fp = failpoint::guard(site, Trigger::OnContext(poisoned as u64), "mid-subtree");
-        let r = mine(&g, &plan, &cfg);
+        let _fp =
+            failpoint::guard(&token, site, Trigger::OnContext(poisoned as u64), "mid-subtree");
+        let r = mine_in(&token, &g, &plan, &cfg);
         assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
     }
 }
 
 #[test]
 fn cmap_insert_fault_is_isolated_and_cmap_state_recovers() {
-    let _l = lock();
+    let token = CancelToken::new();
     let g = generators::powerlaw_cluster(120, 4, 0.5, 13);
     let plan = compile(&Pattern::cycle(4), CompileOptions::default());
     let poisoned = 2u32;
     let cfg = EngineConfig { threads: 2, use_cmap: true, ..Default::default() };
-    let _fp = failpoint::guard("cmap_insert", Trigger::OnContext(poisoned as u64), "cmap fault");
-    let r = mine(&g, &plan, &cfg);
+    let _fp =
+        failpoint::guard(&token, "cmap_insert", Trigger::OnContext(poisoned as u64), "cmap fault");
+    let r = mine_in(&token, &g, &plan, &cfg);
     // The executor that caught the fault keeps mining later vertices with
     // a wiped c-map; counts must still be exact (self-cleaning invariant).
     assert_degraded_exactly(&r, poisoned, &counts_without(&g, &plan, &cfg, poisoned));
@@ -97,12 +108,12 @@ fn cmap_insert_fault_is_isolated_and_cmap_state_recovers() {
 
 #[test]
 fn nth_hit_trigger_poisons_exactly_one_task_per_run() {
-    let _l = lock();
+    let token = CancelToken::new();
     let g = generators::erdos_renyi(60, 0.15, 3);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let cfg = EngineConfig { threads: 1, ..Default::default() };
-    let _fp = failpoint::guard("start_vertex", Trigger::OnNthHit(10), "nth fault");
-    let r = mine(&g, &plan, &cfg);
+    let _fp = failpoint::guard(&token, "start_vertex", Trigger::OnNthHit(10), "nth fault");
+    let r = mine_in(&token, &g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::Degraded);
     assert_eq!(r.faults.len(), 1);
     // Single-threaded ascending schedule: the 10th task is vid 9.
@@ -115,11 +126,12 @@ fn nth_hit_trigger_poisons_exactly_one_task_per_run() {
 /// with counts and work bit-identical to an unfaulted run.
 #[test]
 fn job_core_reattempts_quarantine_and_heals_bit_identically() {
-    let _l = lock();
+    let token = CancelToken::new();
     let g = Arc::new(generators::powerlaw_cluster(150, 4, 0.5, 29));
     let plan = Arc::new(compile(&Pattern::cycle(4), CompileOptions::default()));
     let reference = mine(&g, &plan, &EngineConfig::default());
-    let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), EngineConfig::default());
+    let core = JobCore::new(Arc::clone(&g), Arc::clone(&plan), EngineConfig::default())
+        .with_cancel(token.clone());
     let drain = |core: &JobCore| loop {
         match core.run_stint(9) {
             Stint::Ran { drained: true, .. } => break,
@@ -128,8 +140,12 @@ fn job_core_reattempts_quarantine_and_heals_bit_identically() {
         }
     };
     {
-        let _fp =
-            failpoint::guard("start_vertex", Trigger::OnContext(3), "injected transient fault");
+        let _fp = failpoint::guard(
+            &token,
+            "start_vertex",
+            Trigger::OnContext(3),
+            "injected transient fault",
+        );
         drain(&core);
         let r = core.result();
         assert_eq!(r.status, RunStatus::Degraded);
@@ -149,12 +165,12 @@ fn job_core_reattempts_quarantine_and_heals_bit_identically() {
 
 #[test]
 fn every_start_vertex_faulting_still_terminates() {
-    let _l = lock();
+    let token = CancelToken::new();
     let g = generators::erdos_renyi(40, 0.2, 5);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let cfg = EngineConfig { threads: 4, ..Default::default() };
-    let _fp = failpoint::guard("start_vertex", Trigger::Always, "total loss");
-    let r = mine(&g, &plan, &cfg);
+    let _fp = failpoint::guard(&token, "start_vertex", Trigger::Always, "total loss");
+    let r = mine_in(&token, &g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::Degraded);
     assert_eq!(r.faults.len(), g.num_vertices());
     assert_eq!(r.quarantined.len(), g.num_vertices());

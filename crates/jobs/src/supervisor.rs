@@ -107,6 +107,12 @@ pub struct JobSpec {
     /// Resume from a drained checkpoint (validated against graph, plan,
     /// and config fingerprints at admission).
     pub resume: Option<Checkpoint>,
+    /// The job's cancellation token, and so the scope its failpoints are
+    /// armed in; a fresh token when `None`. Either way
+    /// [`Supervisor::cancel`] cancels through it. Exists only with the
+    /// `failpoints` feature, for fault-injection tests.
+    #[cfg(feature = "failpoints")]
+    pub cancel: Option<fm_engine::CancelToken>,
 }
 
 impl JobSpec {
@@ -125,6 +131,8 @@ impl JobSpec {
             config,
             max_attempts: None,
             resume: None,
+            #[cfg(feature = "failpoints")]
+            cancel: None,
         }
     }
 }
@@ -330,9 +338,11 @@ impl Shared {
     }
 }
 
-/// CSR residency estimate matching `JobCore`'s accounting: offsets
+/// Admission's residency charge for a job's graph: the input CSR's offsets
 /// (`u64`) plus neighbor ids (`u32`), doubled when the plan orients the
-/// graph into a DAG copy.
+/// graph into a DAG copy. Hub-bitmap rows and block summaries are not
+/// charged; the hub index is separately capped by
+/// `EngineConfig::hub_memory_budget`.
 fn estimate_bytes(spec: &JobSpec) -> u64 {
     let g = &spec.graph;
     let base = (g.num_vertices() as u64 + 1) * 8 + g.num_directed_edges() as u64 * 4;
@@ -710,11 +720,18 @@ impl Supervisor {
             st.mem_in_use += charge;
             (id, key, obs.map(|o| o.clock().now_us()))
         };
+        #[cfg(feature = "failpoints")]
+        let cancel = spec.cancel;
         let JobSpec { name, priority, graph, plan, config, max_attempts, resume, .. } = spec;
         let built: Result<JobCore, CheckpointError> = match resume {
             None => Ok(JobCore::new(graph, plan, config)),
             Some(snapshot) => JobCore::resume(graph, plan, config, snapshot),
         };
+        #[cfg(feature = "failpoints")]
+        let built = built.map(|core| match cancel {
+            Some(token) => core.with_cancel(token),
+            None => core,
+        });
         let mut st = self.shared.lock();
         match built {
             Err(e) => {

@@ -12,8 +12,8 @@
 
 use fm_engine::failpoint::{self, Trigger};
 use fm_engine::{
-    mine, mine_resumed, mine_with_recovery, Budget, Checkpoint, CheckpointConfig, CheckpointError,
-    EngineConfig, MiningResult, Recovery, RunStatus,
+    mine, mine_with, Budget, CancelToken, Checkpoint, CheckpointConfig, CheckpointError,
+    EngineConfig, MineOptions, MiningResult, RunStatus,
 };
 use fm_graph::{generators, CsrGraph};
 use fm_pattern::Pattern;
@@ -21,15 +21,6 @@ use fm_plan::{compile, CompileOptions, ExecutionPlan};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The failpoint registry is process-global; tests that arm sites
-/// serialize through this lock so they cannot poison each other.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn fp_lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A unique checkpoint path per call; tests clean up best-effort, and the
 /// pid+counter suffix keeps reruns from tripping over stale files.
@@ -43,6 +34,25 @@ fn temp_ckpt(tag: &str) -> PathBuf {
 /// clock, so the final snapshot always reflects the exact stop point.
 fn every_task(path: &Path) -> CheckpointConfig {
     CheckpointConfig { path: path.to_path_buf(), every_tasks: 1, every_wall: None }
+}
+
+/// Options for a run that checkpoints every task to `path`.
+fn checkpointing(path: &Path) -> MineOptions {
+    MineOptions { checkpoint: Some(every_task(path)), ..Default::default() }
+}
+
+/// Loads the snapshot at `path` and continues the run from it;
+/// `checkpoint` optionally keeps writing fresh snapshots.
+fn resume_from(
+    g: &CsrGraph,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+    path: &Path,
+    checkpoint: Option<CheckpointConfig>,
+) -> Result<MiningResult, CheckpointError> {
+    let opts =
+        MineOptions { resume: Some(Checkpoint::load(path)?), checkpoint, ..Default::default() };
+    mine_with(g, plan, cfg, &opts)
 }
 
 fn assert_bit_identical(resumed: &MiningResult, full: &MiningResult, ctx: &str) {
@@ -71,8 +81,7 @@ fn budget_interrupt_then_resume_is_bit_identical_across_backends() {
                 };
                 let path = temp_ckpt("matrix");
                 let ctx = format!("threads={threads} cmap={use_cmap} hub={hub_bitmap}");
-                let recovery = Recovery { checkpoint: Some(every_task(&path)), resume: None };
-                let cut = mine_with_recovery(&g, &plan, &budget_cfg, None, recovery).unwrap();
+                let cut = mine_with(&g, &plan, &budget_cfg, &checkpointing(&path)).unwrap();
                 assert_eq!(cut.status, RunStatus::BudgetExhausted, "{ctx}");
                 assert_eq!(cut.checkpoint_error, None, "{ctx}");
                 // The snapshot on disk is mid-run: strictly fewer completed
@@ -80,7 +89,7 @@ fn budget_interrupt_then_resume_is_bit_identical_across_backends() {
                 let snap = Checkpoint::load(&path).unwrap();
                 assert!(snap.completed.len() < g.num_vertices(), "{ctx}");
                 assert_eq!(snap.completed.to_vids(), cut.completed, "{ctx}");
-                let resumed = mine_resumed(&g, &plan, &base, None, &path, None).unwrap();
+                let resumed = resume_from(&g, &plan, &base, &path, None).unwrap();
                 assert_bit_identical(&resumed, &full, &ctx);
                 let _ = std::fs::remove_file(&path);
             }
@@ -95,7 +104,7 @@ fn budget_interrupt_then_resume_is_bit_identical_across_backends() {
 /// with the fault history carried forward. Same backend matrix.
 #[test]
 fn faulted_run_checkpoints_and_resume_heals_quarantine() {
-    let _l = fp_lock();
+    let token = CancelToken::new();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 23);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let poisoned = 11u32;
@@ -108,12 +117,13 @@ fn faulted_run_checkpoints_and_resume_heals_quarantine() {
                 let ctx = format!("threads={threads} cmap={use_cmap} hub={hub_bitmap}");
                 {
                     let _fp = failpoint::guard(
+                        &token,
                         "start_vertex",
                         Trigger::OnContext(poisoned as u64),
                         "transient environmental fault",
                     );
-                    let recovery = Recovery { checkpoint: Some(every_task(&path)), resume: None };
-                    let cut = mine_with_recovery(&g, &plan, &base, None, recovery).unwrap();
+                    let opts = MineOptions { cancel: Some(token.clone()), ..checkpointing(&path) };
+                    let cut = mine_with(&g, &plan, &base, &opts).unwrap();
                     assert_eq!(cut.status, RunStatus::Degraded, "{ctx}");
                     assert_eq!(cut.quarantined.len(), 1, "{ctx}");
                     assert_eq!(cut.quarantined[0].vid, poisoned, "{ctx}");
@@ -123,7 +133,7 @@ fn faulted_run_checkpoints_and_resume_heals_quarantine() {
                 let snap = Checkpoint::load(&path).unwrap();
                 assert_eq!(snap.quarantined.len(), 1, "{ctx}");
                 assert!(!snap.completed.contains(poisoned), "{ctx}");
-                let resumed = mine_resumed(&g, &plan, &base, None, &path, None).unwrap();
+                let resumed = resume_from(&g, &plan, &base, &path, None).unwrap();
                 assert_bit_identical(&resumed, &full, &ctx);
                 // The healed run still remembers what happened.
                 assert!(resumed.faults.iter().any(|f| f.vid == poisoned), "{ctx}");
@@ -151,10 +161,9 @@ fn chained_resumes_across_thread_counts_converge_bit_identically() {
             ..Default::default()
         };
         if resume {
-            mine_resumed(&g, &plan, &cfg, None, &path, Some(every_task(&path))).unwrap()
+            resume_from(&g, &plan, &cfg, &path, Some(every_task(&path))).unwrap()
         } else {
-            let recovery = Recovery { checkpoint: Some(every_task(&path)), resume: None };
-            mine_with_recovery(&g, &plan, &cfg, None, recovery).unwrap()
+            mine_with(&g, &plan, &cfg, &checkpointing(&path)).unwrap()
         }
     };
     let first = stage(4, Some(total / 4), false);
@@ -176,25 +185,24 @@ fn fingerprint_mismatches_are_structured_errors() {
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let cfg = EngineConfig::default();
     let path = temp_ckpt("fp");
-    let recovery = Recovery { checkpoint: Some(every_task(&path)), resume: None };
-    mine_with_recovery(&g, &plan, &cfg, None, recovery).unwrap();
+    mine_with(&g, &plan, &cfg, &checkpointing(&path)).unwrap();
 
     let other_graph = generators::powerlaw_cluster(121, 4, 0.5, 31);
-    let err = mine_resumed(&other_graph, &plan, &cfg, None, &path, None).unwrap_err();
+    let err = resume_from(&other_graph, &plan, &cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::GraphMismatch { .. }), "{err}");
 
     let other_plan = compile(&Pattern::cycle(4), CompileOptions::default());
-    let err = mine_resumed(&g, &other_plan, &cfg, None, &path, None).unwrap_err();
+    let err = resume_from(&g, &other_plan, &cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::PlanMismatch { .. }), "{err}");
 
     let other_cfg = EngineConfig { use_cmap: !cfg.use_cmap, ..cfg };
-    let err = mine_resumed(&g, &plan, &other_cfg, None, &path, None).unwrap_err();
+    let err = resume_from(&g, &plan, &other_cfg, &path, None).unwrap_err();
     assert!(matches!(err, CheckpointError::ConfigMismatch { .. }), "{err}");
 
     // Scheduling knobs are deliberately outside the fingerprint: a resume
     // may change thread count, chunking, retries, or budgets freely.
     let sched_cfg = EngineConfig { threads: 7, max_retries: 3, ..cfg };
-    assert!(mine_resumed(&g, &plan, &sched_cfg, None, &path, None).is_ok());
+    assert!(resume_from(&g, &plan, &sched_cfg, &path, None).is_ok());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -207,12 +215,12 @@ fn unreadable_snapshots_fail_loudly_through_every_layer() {
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let cfg = EngineConfig::default();
     let missing = temp_ckpt("missing");
-    let err = mine_resumed(&g, &plan, &cfg, None, &missing, None).unwrap_err();
+    let err = resume_from(&g, &plan, &cfg, &missing, None).unwrap_err();
     assert!(matches!(err, CheckpointError::Io(_)), "{err}");
 
     let garbage = temp_ckpt("garbage");
     std::fs::write(&garbage, b"definitely not a checkpoint").unwrap();
-    let err = mine_resumed(&g, &plan, &cfg, None, &garbage, None).unwrap_err();
+    let err = resume_from(&g, &plan, &cfg, &garbage, None).unwrap_err();
     assert!(matches!(err, CheckpointError::BadFormat(_)), "{err}");
 
     let outcome =
@@ -299,8 +307,7 @@ proptest! {
                 ..Default::default()
             };
             let path = temp_ckpt("prop");
-            let recovery = Recovery { checkpoint: Some(every_task(&path)), resume: None };
-            let cut = mine_with_recovery(&g, &plan, &cut_cfg, None, recovery).unwrap();
+            let cut = mine_with(&g, &plan, &cut_cfg, &checkpointing(&path)).unwrap();
             prop_assert!(cut.checkpoint_error.is_none());
             // Resume on a rotated thread count: the snapshot is
             // schedule-agnostic by construction.
@@ -309,7 +316,7 @@ proptest! {
                 use_cmap,
                 ..Default::default()
             };
-            let resumed = mine_resumed(&g, &plan, &resume_cfg, None, &path, None).unwrap();
+            let resumed = resume_from(&g, &plan, &resume_cfg, &path, None).unwrap();
             prop_assert_eq!(resumed.status, RunStatus::Complete);
             prop_assert_eq!(&resumed.counts, &full.counts,
                 "threads={} cmap={} budget={}", threads, use_cmap, budget);

@@ -8,18 +8,20 @@
 use flexminer::{Backend, Budget, CancelToken, Miner, Pattern, RunStatus};
 use fm_engine::executor::prepare_graph;
 use fm_engine::failpoint::{self, Trigger};
-use fm_engine::{mine, mine_with_cancel, EngineConfig, Executor};
+use fm_engine::{mine, mine_with, EngineConfig, Executor, MineOptions, MiningResult};
 use fm_graph::{generators, CsrGraph, VertexId};
 use fm_plan::{compile, CompileOptions, ExecutionPlan};
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// The failpoint registry is process-global; tests that arm sites
-/// serialize through this lock so they cannot poison each other.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn fp_lock() -> std::sync::MutexGuard<'static, ()> {
-    FP_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// `mine` as the run that carries `token`, and so sees its armed sites.
+fn mine_in(
+    token: &CancelToken,
+    g: &CsrGraph,
+    plan: &ExecutionPlan,
+    cfg: &EngineConfig,
+) -> MiningResult {
+    let opts = MineOptions { cancel: Some(token.clone()), ..Default::default() };
+    mine_with(g, plan, cfg, &opts).expect("no resume snapshot to reject")
 }
 
 /// Sequential reference: counts over every start vertex except `skip`.
@@ -40,14 +42,19 @@ fn counts_without(g: &CsrGraph, plan: &ExecutionPlan, cfg: &EngineConfig, skip: 
 /// join-and-drain path works).
 #[test]
 fn injected_panic_degrades_without_losing_other_counts() {
-    let _l = fp_lock();
+    let token = CancelToken::new();
     let g = generators::powerlaw_cluster(200, 4, 0.5, 9);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let poisoned = 7u32;
     for threads in [1, 4, 7] {
         let cfg = EngineConfig { threads, ..Default::default() };
-        let _fp = failpoint::guard("start_vertex", Trigger::OnContext(poisoned as u64), "injected");
-        let r = mine(&g, &plan, &cfg);
+        let _fp = failpoint::guard(
+            &token,
+            "start_vertex",
+            Trigger::OnContext(poisoned as u64),
+            "injected",
+        );
+        let r = mine_in(&token, &g, &plan, &cfg);
         assert_eq!(r.status, RunStatus::Degraded, "threads={threads}");
         assert_eq!(r.faults.len(), 1);
         assert_eq!(r.faults[0].vid, poisoned);
@@ -147,7 +154,7 @@ fn setop_budget_stops_with_exact_partial_counts() {
 /// the fault.
 #[test]
 fn fault_and_deadline_compose_by_severity() {
-    let _l = fp_lock();
+    let token = CancelToken::new();
     let g = generators::powerlaw_cluster(150, 4, 0.5, 13);
     let plan = compile(&Pattern::triangle(), CompileOptions::default());
     let cfg = EngineConfig {
@@ -157,8 +164,8 @@ fn fault_and_deadline_compose_by_severity() {
     };
     // Deadline zero stops before any task: no fault fires, severity is the
     // deadline's.
-    let _fp = failpoint::guard("start_vertex", Trigger::OnContext(0), "late fault");
-    let r = mine(&g, &plan, &cfg);
+    let _fp = failpoint::guard(&token, "start_vertex", Trigger::OnContext(0), "late fault");
+    let r = mine_in(&token, &g, &plan, &cfg);
     assert_eq!(r.status, RunStatus::DeadlineExceeded);
     assert!(r.faults.is_empty());
 }
@@ -177,7 +184,7 @@ fn accelerator_backend_rejects_budgets() {
     assert_eq!(err, flexminer::MineError::ControlUnsupported);
 }
 
-/// `mine_with_cancel` with a pre-cancelled token does no work at all.
+/// `mine_with` with a pre-cancelled token does no work at all.
 #[test]
 fn pre_cancelled_job_returns_immediately_with_zero_counts() {
     let g = generators::powerlaw_cluster(500, 5, 0.5, 14);
@@ -186,7 +193,8 @@ fn pre_cancelled_job_returns_immediately_with_zero_counts() {
     token.cancel();
     for threads in [1, 4] {
         let cfg = EngineConfig { threads, ..Default::default() };
-        let r = mine_with_cancel(&g, &plan, &cfg, Some(&token));
+        let opts = MineOptions { cancel: Some(token.clone()), ..Default::default() };
+        let r = mine_with(&g, &plan, &cfg, &opts).unwrap();
         assert_eq!(r.status, RunStatus::Cancelled);
         assert_eq!(r.counts, vec![0]);
         assert!(r.completed.is_empty());
